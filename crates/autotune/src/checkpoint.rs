@@ -89,7 +89,7 @@ pub struct CommitSnap {
 /// Per-operator loop-tuning state: the GBT training set. The model
 /// itself is not stored — fitting is deterministic, so resume refits on
 /// the first `trained_on` rows and reproduces it exactly.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct LoopStateSnap {
     /// Operator id.
     pub op: usize,
@@ -115,7 +115,7 @@ pub struct BestPointSnap {
 }
 
 /// A serializable snapshot of the whole tuner, written at cut points.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct TunerCheckpoint {
     /// Format version (see [`CHECKPOINT_VERSION`]).
     pub version: u64,
@@ -211,6 +211,23 @@ impl TunerCheckpoint {
         Ok(())
     }
 
+    /// Validates the checkpoint's budgets against the resuming run's. A
+    /// run resumed under other budgets would finish at a total neither
+    /// configuration spends, under a journal header naming budgets it
+    /// did not use.
+    pub fn validate_budgets(&self, joint_budget: u64, loop_budget: u64) -> Result<(), AltError> {
+        if (self.joint_budget, self.loop_budget) == (joint_budget, loop_budget) {
+            return Ok(());
+        }
+        Err(AltError::Checkpoint {
+            detail: format!(
+                "budget mismatch: checkpoint used joint/loop budgets {}/{}, run configured \
+                 with {joint_budget}/{loop_budget}",
+                self.joint_budget, self.loop_budget
+            ),
+        })
+    }
+
     /// Serializes to a JSON file. The write is atomic (temp file, fsync,
     /// rename — see `alt_store::atomic`): a crash mid-save leaves the
     /// previous checkpoint intact instead of a torn half-JSON file that
@@ -241,15 +258,11 @@ impl TunerCheckpoint {
 /// kinds, names and tensor shapes in topological order. Intentionally
 /// not a layout/schedule hash — those are what the checkpoint restores.
 pub fn graph_signature(graph: &Graph) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    for node in graph.nodes() {
-        let mut s = format!("{:?}|{}", node.tag, node.compute.name);
-        for &i in &node.inputs {
-            s.push_str(&format!("|{}", graph.tensor(i).shape));
-        }
-        s.push_str(&format!("|{}", graph.tensor(node.output).shape));
-        parts.push(s);
-    }
+    let parts: Vec<String> = graph
+        .nodes()
+        .iter()
+        .map(|node| op_signature(graph, node.id))
+        .collect();
     // Cheap stable hash (FNV-1a) so the signature stays short in JSON.
     let joined = parts.join(";");
     let mut h: u64 = 0xcbf29ce484222325;
@@ -258,6 +271,18 @@ pub fn graph_signature(graph: &Graph) -> String {
         h = h.wrapping_mul(0x100000001b3);
     }
     format!("{:016x}:{}ops", h, graph.nodes().len())
+}
+
+/// One operator's signature: kind, name and tensor shapes. Operators
+/// with equal signatures share one tuning task (layouts and schedules).
+pub fn op_signature(graph: &Graph, op: alt_tensor::OpId) -> String {
+    let node = graph.node(op);
+    let mut s = format!("{:?}|{}", node.tag, node.compute.name);
+    for &i in &node.inputs {
+        s.push_str(&format!("|{}", graph.tensor(i).shape));
+    }
+    s.push_str(&format!("|{}", graph.tensor(node.output).shape));
+    s
 }
 
 #[cfg(test)]
@@ -358,6 +383,11 @@ mod tests {
         let mut bad = ck.clone();
         bad.rng_state = vec![1];
         assert!(bad.validate(&g, 7).is_err(), "rng state length");
+        assert!(ck.validate_budgets(16, 16).is_ok());
+        for (joint, lp) in [(16, 40), (8, 16), (0, 32)] {
+            let err = ck.validate_budgets(joint, lp).unwrap_err();
+            assert_eq!(err.kind(), "checkpoint", "budgets {joint}/{lp}");
+        }
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! * [`measure`] — budget-accounted measurement against the hardware
 //!   model.
 //! * [`tuner`] — the two-stage joint tuner with the cross-exploration
-//!   architecture (Fig. 8).
+//!   architecture (Fig. 8): two search policies spending one budget
+//!   through the accounting core (`accounting`), which owns the budget,
+//!   RNG, retries, quarantine and every per-candidate record.
 //! * [`fault`] / [`rng`] — seeded fault injection drawing from the
 //!   tuner's own random stream, for robustness testing.
 //! * [`checkpoint`] — serializable tuner state: a killed run resumes
 //!   from its last checkpoint at the exact budget point.
 
+mod accounting;
 pub mod checkpoint;
 pub mod fault;
 pub mod features;

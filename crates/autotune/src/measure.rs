@@ -1,10 +1,11 @@
 //! "On-device" measurement against the hardware model, with the paper's
 //! budget accounting (one measurement = one budget unit).
 //!
-//! `measure_program` is the single point where budget is consumed, so it
-//! is also where telemetry is emitted: with an enabled sink, every budget
-//! unit produces exactly one [`MeasurementRecord`] carrying the simulator
-//! counters of the measured program, and a `sim`-scoped
+//! [`Measurer::measure_unit`] is the single point where budget is
+//! consumed, so it is also where the unit's trace record is written:
+//! with an enabled sink, every budget unit produces exactly one
+//! [`MeasurementRecord`] (or [`MeasurementFailureRecord`]) labelled by
+//! the caller's [`UnitLabel`], and a `sim`-scoped
 //! [`alt_telemetry::CounterRegistry`] accumulates cache/prefetch totals
 //! across the whole run.
 
@@ -24,18 +25,18 @@ use alt_tensor::{Graph, OpId};
 use crate::fault::{Fault, FaultInjector};
 use crate::progress::Progress;
 
-/// Labels attached to the next measurement (who is measuring and why).
-/// The tuner updates this as it moves between ops, stages and candidates.
-#[derive(Clone, Debug)]
-pub struct MeasureCtx {
+/// Labels of one budget unit's trace record: who is measuring what, and
+/// why. The tuner's accounting core builds one per attempt.
+#[derive(Clone, Copy, Debug)]
+pub struct UnitLabel<'a> {
     /// Operator tag, e.g. `conv2d#3`.
-    pub op: String,
+    pub op: &'a str,
     /// Tuning stage spending the budget.
     pub stage: Stage,
     /// Tuning round within the stage.
     pub round: u64,
     /// Candidate point summary.
-    pub candidate: String,
+    pub candidate: &'a str,
     /// Cost-model prediction for the candidate, when ranked.
     pub predicted_cost: Option<f64>,
     /// Which attempt at this candidate this is (1 = first try).
@@ -45,13 +46,13 @@ pub struct MeasureCtx {
     pub backoff_us: u64,
 }
 
-impl Default for MeasureCtx {
+impl Default for UnitLabel<'_> {
     fn default() -> Self {
         Self {
-            op: "graph".to_string(),
+            op: "graph",
             stage: Stage::Joint,
             round: 0,
-            candidate: String::new(),
+            candidate: "",
             predicted_cost: None,
             attempt: 1,
             backoff_us: 0,
@@ -59,8 +60,8 @@ impl Default for MeasureCtx {
     }
 }
 
-/// What the memo cache saw for the most recent successful measurement:
-/// the journal's fingerprint key material.
+/// What the memo cache saw for a successful measurement: the journal's
+/// fingerprint key material.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeInfo {
     /// Canonical fingerprint of the measured lowered program.
@@ -92,7 +93,7 @@ pub struct Measurer<'g> {
     graph: &'g Graph,
     sim: Simulator,
     /// Memoized simulations keyed by canonical program fingerprint.
-    /// Worker threads prewarm it; only `measure_program` reads it with
+    /// Worker threads prewarm it; only `measure_unit` reads it with
     /// statistics, so the hit/miss transcript is jobs-invariant.
     cache: Arc<SimCache>,
     telemetry: Telemetry,
@@ -111,12 +112,6 @@ pub struct Measurer<'g> {
     /// History of (budget used, latency measured) pairs, for efficiency
     /// curves like Fig. 11.
     pub history: Vec<(u64, f64)>,
-    /// Labels for the next measurement's trace record.
-    pub ctx: MeasureCtx,
-    /// Cache-probe details of the last *successful* `measure_program`
-    /// call (`None` after a failure): journal emission reads this to
-    /// attach fingerprints and the hit/miss verdict to candidates.
-    pub last_probe: Option<ProbeInfo>,
 }
 
 impl<'g> Measurer<'g> {
@@ -139,14 +134,7 @@ impl<'g> Measurer<'g> {
             best_by_op: HashMap::new(),
             used: 0,
             history: Vec::new(),
-            ctx: MeasureCtx::default(),
-            last_probe: None,
         }
-    }
-
-    /// The telemetry handle measurements are emitted through.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Attaches (or removes) a fault injector. With `None` — the default
@@ -155,7 +143,7 @@ impl<'g> Measurer<'g> {
         self.injector = injector;
     }
 
-    /// Attaches the wall-clock self-profile: `measure_program` opens a
+    /// Attaches the wall-clock self-profile: `measure_unit` opens a
     /// `simulate` phase around each cache probe. Timing writes to its
     /// own sink, so attaching it cannot change the run.
     pub fn set_timing(&mut self, timing: Timing) {
@@ -214,25 +202,6 @@ impl<'g> Measurer<'g> {
         (self.cache.store_hits(), self.cache.store_misses())
     }
 
-    /// Lowers only `op`'s fusion group (plus its conversion groups).
-    /// Fallible variant: an invalid candidate reports instead of
-    /// panicking, and costs nothing (no budget is consumed).
-    pub fn try_lower_op(
-        &self,
-        plan: &LayoutPlan,
-        sched: &GraphSchedule,
-        op: OpId,
-    ) -> Result<Program, AltError> {
-        let mut roots = HashSet::new();
-        roots.insert(op);
-        try_lower_filtered(self.graph, plan, sched, Some(&roots))
-    }
-
-    /// Lowers only `op`'s fusion group (plus its conversion groups).
-    pub fn lower_op(&self, plan: &LayoutPlan, sched: &GraphSchedule, op: OpId) -> Program {
-        self.try_lower_op(plan, sched, op).expect("lowering failed")
-    }
-
     /// Measures one operator's group; consumes one budget unit.
     pub fn measure_op(
         &mut self,
@@ -240,43 +209,44 @@ impl<'g> Measurer<'g> {
         sched: &GraphSchedule,
         op: OpId,
     ) -> Result<f64, AltError> {
-        let mut roots = HashSet::new();
-        roots.insert(op);
-        self.measure_ops(plan, sched, &roots)
+        let roots: HashSet<OpId> = [op].into_iter().collect();
+        self.measure_unit(plan, sched, &roots, &UnitLabel::default())
+            .map(|(lat, _)| lat)
     }
 
-    /// Measures the groups rooted at a set of operators; one budget unit.
-    /// A candidate that fails to lower still consumes its unit — on real
-    /// hardware the compile attempt was paid for — and is reported as a
-    /// failure record rather than a panic.
-    pub fn measure_ops(
+    /// Spends one budget unit on the groups rooted at `roots` and (with
+    /// an enabled sink) emits exactly one trace record labelled `unit` —
+    /// a measurement record on success, a failure record when lowering
+    /// fails, the fault injector strikes or the simulator rejects the
+    /// program. A candidate that fails to lower still consumes its unit:
+    /// on real hardware the compile attempt was paid for. The fault draw
+    /// happens exactly once per lowered program, identically with
+    /// telemetry on or off, so tracing never perturbs a run. Returns the
+    /// latency and what the memo cache saw.
+    pub fn measure_unit(
         &mut self,
         plan: &LayoutPlan,
         sched: &GraphSchedule,
         roots: &HashSet<OpId>,
-    ) -> Result<f64, AltError> {
-        match try_lower_filtered(self.graph, plan, sched, Some(roots)) {
-            Ok(program) => self.measure_program(&program),
-            Err(e) => {
-                self.used += 1;
-                self.tick_progress();
-                self.last_probe = None;
-                self.record_failure(&e);
-                Err(e)
-            }
-        }
-    }
-
-    /// Measures an already-lowered program; consumes one budget unit and
-    /// (with an enabled sink) emits exactly one trace record — a
-    /// measurement record on success, a failure record when the fault
-    /// injector strikes or the simulator rejects the program. The fault
-    /// draw happens exactly once per call, identically with telemetry on
-    /// or off, so tracing never perturbs a run.
-    pub fn measure_program(&mut self, program: &Program) -> Result<f64, AltError> {
+        unit: &UnitLabel,
+    ) -> Result<(f64, ProbeInfo), AltError> {
         self.used += 1;
         self.tick_progress();
-        self.last_probe = None;
+        let program = try_lower_filtered(self.graph, plan, sched, Some(roots));
+        let result = program.and_then(|program| self.simulate(&program, unit));
+        if let Err(e) = &result {
+            self.record_failure(e, unit);
+        }
+        result
+    }
+
+    /// The simulation half of [`Self::measure_unit`]: fault draw, memo
+    /// probe, counters and the success record.
+    fn simulate(
+        &mut self,
+        program: &Program,
+        unit: &UnitLabel,
+    ) -> Result<(f64, ProbeInfo), AltError> {
         let mut noise = 1.0;
         if let Some(inj) = self.injector.as_mut() {
             match inj.draw() {
@@ -285,9 +255,7 @@ impl<'g> Measurer<'g> {
                     // Total mapping: an injector outcome that has no
                     // dedicated error (a bug, not a tuning event) degrades
                     // into a typed `AltError` instead of aborting the run.
-                    let err = FaultInjector::error_for_total(fault, &self.ctx.candidate);
-                    self.record_failure(&err);
-                    return Err(err);
+                    return Err(FaultInjector::error_for_total(fault, unit.candidate));
                 }
                 None => {}
             }
@@ -304,26 +272,20 @@ impl<'g> Measurer<'g> {
             let _simulate = self.timing.phase("simulate");
             self.cache.try_profile(&self.sim, program)
         };
-        let (c, hit) = match probe {
-            Ok(v) => v,
-            Err(e) => {
-                self.record_failure(&e);
-                return Err(e);
-            }
-        };
+        let (c, hit) = probe?;
         self.registry
             .add(if hit { "cache.hits" } else { "cache.misses" }, 1.0);
         let program_fp = alt_loopir::program_fingerprint(program);
-        self.last_probe = Some(ProbeInfo {
+        let info = ProbeInfo {
             program_fp,
             cache_key: alt_sim::compose_cache_key(self.cache.profile_fp(), program_fp),
             hit,
-        });
+        };
         let lat = c.latency_s * noise;
         if self.telemetry.is_enabled() {
             let best = self
                 .best_by_op
-                .entry(self.ctx.op.clone())
+                .entry(unit.op.to_string())
                 .or_insert(f64::INFINITY);
             if lat < *best {
                 *best = lat;
@@ -339,18 +301,18 @@ impl<'g> Measurer<'g> {
             self.registry.observe("latency_us", lat * 1e6);
             self.telemetry.emit(Record::Measurement(MeasurementRecord {
                 seq: self.used,
-                op: self.ctx.op.clone(),
-                stage: self.ctx.stage,
-                round: self.ctx.round,
-                candidate: self.ctx.candidate.clone(),
-                predicted_cost: self.ctx.predicted_cost,
+                op: unit.op.to_string(),
+                stage: unit.stage,
+                round: unit.round,
+                candidate: unit.candidate.to_string(),
+                predicted_cost: unit.predicted_cost,
                 latency_s: lat,
                 best_so_far_s: best,
                 counters: convert_counters(&c),
             }));
         }
         self.history.push((self.used, lat));
-        Ok(lat)
+        Ok((lat, info))
     }
 
     /// One progress heartbeat per consumed budget unit (no-op unless
@@ -363,19 +325,19 @@ impl<'g> Measurer<'g> {
     /// Emits the failure record for the budget unit just consumed.
     /// Failed measurements are absent from `history` (no latency exists)
     /// but their `seq` keeps counting: one trace record per unit, always.
-    fn record_failure(&mut self, err: &AltError) {
+    fn record_failure(&self, err: &AltError, unit: &UnitLabel) {
         if self.telemetry.is_enabled() {
             self.telemetry
                 .emit(Record::MeasurementFailure(MeasurementFailureRecord {
                     seq: self.used,
-                    op: self.ctx.op.clone(),
-                    stage: self.ctx.stage,
-                    round: self.ctx.round,
-                    candidate: self.ctx.candidate.clone(),
+                    op: unit.op.to_string(),
+                    stage: unit.stage,
+                    round: unit.round,
+                    candidate: unit.candidate.to_string(),
                     kind: err.kind().to_string(),
                     error: err.to_string(),
-                    attempt: self.ctx.attempt,
-                    backoff_us: self.ctx.backoff_us,
+                    attempt: unit.attempt,
+                    backoff_us: unit.backoff_us,
                 }));
         }
     }
@@ -407,6 +369,12 @@ mod tests {
     use alt_sim::intel_cpu;
     use alt_tensor::ops::{self, ConvCfg};
     use alt_tensor::Shape;
+
+    /// Lowers only `op`'s fusion group (plus its conversion groups).
+    fn lower_op(g: &Graph, plan: &LayoutPlan, sched: &GraphSchedule, op: OpId) -> Program {
+        let roots: HashSet<OpId> = [op].into_iter().collect();
+        try_lower_filtered(g, plan, sched, Some(&roots)).expect("lowering failed")
+    }
 
     fn graph() -> Graph {
         let mut g = Graph::new();
@@ -444,9 +412,13 @@ mod tests {
         let plan = LayoutPlan::new(PropagationMode::Full);
         let sched = GraphSchedule::naive();
         let op = g.complex_ops()[0];
-        m.ctx.op = "conv2d#0".to_string();
+        let roots: HashSet<OpId> = [op].into_iter().collect();
+        let unit = UnitLabel {
+            op: "conv2d#0",
+            ..UnitLabel::default()
+        };
         for _ in 0..3 {
-            m.measure_op(&plan, &sched, op).unwrap();
+            m.measure_unit(&plan, &sched, &roots, &unit).unwrap();
         }
         m.flush_counters();
         let records = sink.records();
@@ -517,7 +489,7 @@ mod tests {
         let plan = LayoutPlan::new(PropagationMode::Full);
         let sched = GraphSchedule::naive();
         let op = g.complex_ops()[0];
-        let program = m.lower_op(&plan, &sched, op);
+        let program = lower_op(&g, &plan, &sched, op);
         m.sim_cache().prewarm(m.simulator(), &program);
         assert_eq!(m.cache_stats(), (0, 0), "prewarm is stat-silent");
         // First budgeted measurement of a prewarmed program records the
@@ -549,11 +521,10 @@ mod tests {
     #[test]
     fn filtered_lowering_contains_only_requested_group() {
         let g = graph();
-        let m = Measurer::new(&g, intel_cpu());
         let plan = LayoutPlan::new(PropagationMode::Full);
         let sched = GraphSchedule::naive();
         let op = g.complex_ops()[0];
-        let program = m.lower_op(&plan, &sched, op);
+        let program = lower_op(&g, &plan, &sched, op);
         assert_eq!(program.groups.len(), 1);
         assert_eq!(program.groups[0].root, op);
     }
@@ -579,10 +550,14 @@ mod tests {
         let plan = LayoutPlan::new(PropagationMode::Full);
         let sched = GraphSchedule::naive();
         let op = g.complex_ops()[0];
-        m.ctx.op = "conv2d#0".to_string();
-        m.ctx.candidate = "[1, 2]".to_string();
+        let roots: HashSet<OpId> = [op].into_iter().collect();
+        let unit = UnitLabel {
+            op: "conv2d#0",
+            candidate: "[1, 2]",
+            ..UnitLabel::default()
+        };
         for _ in 0..3 {
-            let err = m.measure_op(&plan, &sched, op).unwrap_err();
+            let err = m.measure_unit(&plan, &sched, &roots, &unit).unwrap_err();
             assert_eq!(err.kind(), "injected_compile");
             assert!(err.is_transient());
         }

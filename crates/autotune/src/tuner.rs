@@ -16,37 +16,36 @@
 //! model, and only the predicted top-k are measured — one measurement
 //! consumes one unit of the search budget, exactly the paper's
 //! accounting.
+//!
+//! This module holds only search policy: which points to generate, which
+//! to measure, what to commit. Spending budget and recording candidates
+//! (RNG, faults, retries, quarantine, journal, trace) is the accounting
+//! core's job (`accounting.rs`).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use alt_journal::{
-    finite, outcome, provenance, CandidateRecord, JournalHeader, JournalRecord, JournalSummary,
-    LayoutCommitRecord, LayoutVisitRecord, JOURNAL_VERSION,
-};
+use alt_journal::provenance;
 use alt_layout::{presets, Layout, LayoutPlan, PropagationMode};
 use alt_loopir::{try_lower_filtered, GraphSchedule, OpSchedule};
 use alt_sim::MachineProfile;
-use alt_telemetry::{
-    CostModelRecord, CounterRegistry, PpoUpdateRecord, Record, Span, Stage, Telemetry, Timing,
-    VerifyRejectionRecord,
-};
-use alt_tensor::{Graph, OpId, OpTag};
+use alt_telemetry::{Stage, Telemetry, Timing};
+use alt_tensor::{Graph, OpId, OpTag, Shape};
 
+use crate::accounting::{Accounting, Candidate, Dropped};
 use crate::checkpoint::{
-    graph_signature, BestPointSnap, CommitSnap, LoopStateSnap, SchedSnap, TunerCheckpoint,
-    CHECKPOINT_VERSION,
+    graph_signature, op_signature, BestPointSnap, CommitSnap, LoopStateSnap, SchedSnap,
+    TunerCheckpoint, CHECKPOINT_VERSION,
 };
-use crate::fault::{FaultConfig, FaultInjector};
+use crate::fault::FaultConfig;
 use crate::features::extract_features;
 use crate::gbt::{GbtModel, GbtParams};
-use crate::measure::Measurer;
 use crate::parallel::ordered_map;
 use crate::ppo::{pad_obs, CriticState, PpoAgent, PpoWeights, SharedCritic};
-use crate::rng::SharedRng;
 use crate::space::{
-    apply_layout_decision, build_layout_template_ex, decode_layout_point, decode_loop_point, Point,
+    apply_layout_decision, build_layout_template_ex, build_loop_space_ex, decode_layout_point,
+    decode_loop_point, LayoutTemplate, Point, Space,
 };
 
 /// How the joint stage picks layout candidates (Fig. 11's comparison).
@@ -82,8 +81,6 @@ pub struct TuneConfig {
     pub batch: usize,
     /// Measured candidates per round (top-k by cost model).
     pub topk: usize,
-    /// Rounds of loop tuning used to assess one layout candidate.
-    pub rounds_per_layout: usize,
     /// Layout template tiling levels (1 or 2, Fig. 13).
     pub levels: u8,
     /// Loop-space spatial tiling levels (1 or 2).
@@ -120,13 +117,6 @@ pub struct TuneConfig {
     /// reliable). Faults draw from the tuner's own seeded stream, so a
     /// run is reproduced by its seed and fault configuration.
     pub faults: Option<FaultConfig>,
-    /// Retries after a transient measurement failure (injected compile
-    /// failure or timeout). Every retry consumes one budget unit, like
-    /// a re-measurement on real hardware would.
-    pub max_retries: u64,
-    /// Times a candidate may exhaust its retries before it is
-    /// quarantined and never proposed again.
-    pub quarantine_threshold: u64,
     /// Write checkpoints to this JSON file at cut points.
     pub checkpoint_path: Option<String>,
     /// Checkpoint every N consumed budget units (0 disables periodic
@@ -193,7 +183,6 @@ impl Default for TuneConfig {
             loop_budget: 700,
             batch: 128,
             topk: 8,
-            rounds_per_layout: 1,
             levels: 1,
             loop_levels: 1,
             advanced_layouts: false,
@@ -206,8 +195,6 @@ impl Default for TuneConfig {
             seed_candidates: true,
             telemetry: Telemetry::noop(),
             faults: None,
-            max_retries: 2,
-            quarantine_threshold: 2,
             checkpoint_path: None,
             checkpoint_every: 0,
             resume: None,
@@ -296,114 +283,190 @@ impl TuneResult {
     }
 }
 
+/// Rounds of loop tuning used to assess one explored layout candidate
+/// (finalists are re-assessed with three).
+pub const ROUNDS_PER_LAYOUT: usize = 1;
+
 /// Per-operator loop-tuning state that survives layout changes (the cost
-/// model transfers across reconstructed spaces; the best point does not).
+/// model transfers across reconstructed spaces; the best point does not):
+/// the checkpointed training set and the model fit on it.
 struct LoopTuneState {
-    dataset_x: Vec<Vec<f32>>,
-    dataset_y: Vec<f32>,
+    data: LoopStateSnap,
     model: GbtModel,
-    /// Loop-tuning rounds executed for this op (trace labelling).
-    rounds: u64,
-    /// Dataset size the current model was trained on.
-    trained_on: u64,
 }
 
 impl LoopTuneState {
-    fn new() -> Self {
-        Self {
-            dataset_x: Vec::new(),
-            dataset_y: Vec::new(),
+    fn new(op: OpId) -> Self {
+        Self::restore(LoopStateSnap {
+            op: op.0,
+            ..LoopStateSnap::default()
+        })
+    }
+
+    /// Rebuilds the state from its training set. The model is not
+    /// serialized: GBT fitting is deterministic, so refitting on the same
+    /// training prefix reproduces it.
+    fn restore(data: LoopStateSnap) -> Self {
+        let n = data.trained_on as usize;
+        let mut state = Self {
+            data,
             model: GbtModel::default(),
-            rounds: 0,
-            trained_on: 0,
-        }
+        };
+        state.fit(n);
+        state
     }
 
     fn record(&mut self, feats: Vec<f32>, latency: f64) {
-        self.dataset_x.push(feats);
-        self.dataset_y.push(-(latency.max(1e-12).ln() as f32));
+        self.data.dataset_x.push(feats);
+        self.data.dataset_y.push(-(latency.max(1e-12).ln() as f32));
     }
 
     fn retrain(&mut self) {
-        if self.dataset_x.len() >= 16 {
-            self.model = GbtModel::fit(&self.dataset_x, &self.dataset_y, GbtParams::default());
-            self.trained_on = self.dataset_x.len() as u64;
+        self.fit(self.data.dataset_x.len());
+    }
+
+    /// Fits the model on the first `n` samples, once there are enough.
+    fn fit(&mut self, n: usize) {
+        if n >= 16 {
+            let d = &self.data;
+            self.model = GbtModel::fit(&d.dataset_x[..n], &d.dataset_y[..n], GbtParams::default());
+            self.data.trained_on = n as u64;
         }
     }
 }
 
-/// The tuner.
+/// Tuning tasks: operators with identical signatures (kind + shapes)
+/// share one task, exactly like Ansor's task deduplication — ResNet's
+/// repeated blocks and BERT's identical layers are tuned once and the
+/// result is replicated.
+struct Tasks {
+    /// One representative per task, in topological order.
+    reps: Vec<OpId>,
+    /// The other members of each representative's task.
+    clones_of: HashMap<OpId, Vec<OpId>>,
+}
+
+impl Tasks {
+    fn extract(graph: &Graph) -> Self {
+        let mut reps = Vec::new();
+        let mut clones_of: HashMap<OpId, Vec<OpId>> = HashMap::new();
+        let mut by_sig: HashMap<String, OpId> = HashMap::new();
+        for op in graph.complex_ops() {
+            let sig = op_signature(graph, op);
+            match by_sig.get(&sig) {
+                Some(&rep) => clones_of.entry(rep).or_default().push(op),
+                None => {
+                    by_sig.insert(sig, op);
+                    reps.push(op);
+                    clones_of.entry(op).or_default();
+                }
+            }
+        }
+        Self { reps, clones_of }
+    }
+
+    /// `op` followed by the other members of its task.
+    fn members(&self, op: OpId) -> impl Iterator<Item = OpId> + '_ {
+        std::iter::once(op).chain(self.clones_of.get(&op).into_iter().flatten().copied())
+    }
+}
+
+/// Where the stages start: the beginning, or a checkpoint's cut point.
+#[derive(Default)]
+struct Cursor {
+    /// Joint stage: index of the next representative to tune.
+    next_rep: usize,
+    /// Loop stage: next round-robin iteration.
+    loop_iter: u64,
+    /// Budget counter value at joint-stage entry.
+    joint_start: u64,
+    /// The cut is inside the loop stage: the joint stage is over.
+    skip_joint: bool,
+    /// Shared critic training state of a run cut mid-joint-stage.
+    critic: Option<CriticState>,
+}
+
+/// How a run ends.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RunEnd {
+    /// The search completed: summary written, winner published.
+    Searched,
+    /// A stored winner was replayed: summary written, nothing published.
+    WarmStart,
+    /// Stopped at a checkpoint cut: the resumed successor writes the
+    /// summary and publishes, so the halted and resumed journals
+    /// concatenate into exactly the journal an uninterrupted run writes.
+    Halted,
+}
+
+/// One operator's loop tuning under a fixed layout plan: its loop space,
+/// its measurement neighbourhood and the best (latency, point) so far —
+/// the point stays empty until a candidate beats the incumbent.
+struct OpTuning<'p> {
+    op: OpId,
+    plan: &'p LayoutPlan,
+    space: Space,
+    roots: HashSet<OpId>,
+    best: (f64, Point),
+    /// Whether the op's cost model was trained when the round began.
+    trained: bool,
+}
+
+/// A round's generated candidates with their provenance.
+type Batch = Vec<(Point, &'static str)>;
+
+/// One lowered candidate: its schedule, features and verifier counters,
+/// or why it cannot be measured — `None` when it failed to lower, the
+/// verifier's first (smallest-code) finding when statically rejected.
+type Lowered = Result<
+    (OpSchedule, Vec<f32>, alt_verify::VerifyStats),
+    (Option<alt_verify::Diagnostic>, alt_verify::VerifyStats),
+>;
+
+/// A lowered, verified candidate ranked by the cost model.
+struct Scored {
+    score: f64,
+    point: Point,
+    origin: &'static str,
+    sched: OpSchedule,
+    feats: Vec<f32>,
+}
+
+impl Scored {
+    fn candidate(&self) -> Candidate<'_> {
+        Candidate {
+            origin: self.origin,
+            point: &self.point,
+        }
+    }
+}
+
+/// The tuner: two search policies (joint and loop-only) spending one
+/// budget through the accounting core.
 pub struct Tuner<'g> {
     graph: &'g Graph,
     cfg: TuneConfig,
-    measurer: Measurer<'g>,
-    rng: SharedRng,
+    acct: Accounting<'g>,
     loop_state: HashMap<OpId, LoopTuneState>,
     /// Best loop point per op for the *current* layout of that op.
-    best_points: HashMap<OpId, (Point, f64)>,
-    /// Candidate keys (`op:point`) banned after repeated failures.
-    quarantine: HashSet<String>,
-    /// Give-up count per candidate key (feeds the quarantine).
-    fail_counts: HashMap<String, u64>,
-    /// Run-level robustness counters (retries, quarantined, failures.*).
-    registry: CounterRegistry,
+    best_points: HashMap<OpId, BestPointSnap>,
     /// Committed joint-stage layout decisions, for checkpoint replay.
     committed: Vec<CommitSnap>,
     /// Budget counter value at the last checkpoint write.
     last_checkpoint: u64,
-    /// Failure kind of the last `measure_with_retry` give-up, for the
-    /// journal's `failed` records. `None` after a success.
-    last_failure: Option<String>,
 }
 
 impl<'g> Tuner<'g> {
     /// Creates a tuner.
     pub fn new(graph: &'g Graph, profile: MachineProfile, cfg: TuneConfig) -> Self {
-        let mut measurer = Measurer::with_telemetry(graph, profile, cfg.telemetry.clone());
-        // One stream for search and faults: the injector interleaves its
-        // draws with the tuner's, so "same seed, same fault config" means
-        // the same run. With zero fault rate no injector is attached and
-        // the measurement path is exactly the reliable one.
-        let rng = SharedRng::seed_from_u64(cfg.seed);
-        if let Some(fc) = &cfg.faults {
-            if fc.total_rate() > 0.0 {
-                measurer.set_injector(Some(FaultInjector::new(fc.clone(), rng.clone())));
-            }
-        }
-        // The durable store becomes the memo cache's warm tier before
-        // any measurement runs, so the store statistics cover the run.
-        if let Some(store) = &cfg.store {
-            measurer.attach_store(store.clone());
-        }
-        // Wall-clock timing: the handle's registry becomes the latency
-        // sink of the memo cache (`memo.*_us`) and the store
-        // (`store.*_us`), and the measurer opens a `simulate` phase per
-        // cache probe. All of it is observation-only.
-        if let Some(reg) = cfg.timing.registry() {
-            measurer.sim_cache().attach_registry(reg.clone());
-            if let Some(store) = &cfg.store {
-                store.attach_registry(reg);
-            }
-            measurer.set_timing(cfg.timing.clone());
-        }
-        if cfg.progress {
-            measurer.set_progress(crate::progress::Progress::enabled(
-                cfg.joint_budget + cfg.loop_budget,
-            ));
-        }
         Self {
             graph,
+            acct: Accounting::new(graph, profile, &cfg),
             cfg,
-            measurer,
-            rng,
             loop_state: HashMap::new(),
             best_points: HashMap::new(),
-            quarantine: HashSet::new(),
-            fail_counts: HashMap::new(),
-            registry: CounterRegistry::new("tuner"),
             committed: Vec::new(),
             last_checkpoint: 0,
-            last_failure: None,
         }
     }
 
@@ -411,484 +474,151 @@ impl<'g> Tuner<'g> {
     pub fn tune(mut self) -> TuneResult {
         let mut plan = LayoutPlan::new(self.cfg.mode);
         let mut sched = base_schedule(self.graph);
-
         if let Some(fixed) = self.cfg.fixed_layout {
             apply_fixed_layout(self.graph, &mut plan, fixed, self.cfg.free_input_layouts);
         }
-
-        // Task extraction: operators with identical signatures (kind +
-        // shapes) share one tuning task, exactly like Ansor's task
-        // deduplication — ResNet's repeated blocks and BERT's identical
-        // layers are tuned once and the result is replicated.
-        let complex = self.graph.complex_ops();
-        let mut reps: Vec<OpId> = Vec::new();
-        let mut clones_of: HashMap<OpId, Vec<OpId>> = HashMap::new();
-        {
-            let mut by_sig: HashMap<String, OpId> = HashMap::new();
-            for &op in &complex {
-                let sig = op_signature(self.graph, op);
-                match by_sig.get(&sig) {
-                    Some(&rep) => clones_of.entry(rep).or_default().push(op),
-                    None => {
-                        by_sig.insert(sig, op);
-                        reps.push(op);
-                        clones_of.entry(op).or_default();
-                    }
-                }
-            }
-        }
-        let shares = budget_shares(self.graph, &reps);
-
-        let telemetry = self.cfg.telemetry.clone();
-        let joint_ran = self.cfg.fixed_layout.is_none() && self.cfg.joint_budget > 0;
-
-        // ---- Warm start ----
-        // With a store attached, a completed identical task (same graph,
-        // machine and result-relevant configuration) short-circuits the
-        // whole search: the stored winner's decisions are replayed —
-        // template rebuild, point decode, plan application — exactly
-        // like a checkpoint restore, consuming zero budget. Resumed runs
-        // never warm-start: they continue their own transcript.
+        let tasks = Tasks::extract(self.graph);
         let task_fp = crate::winner::task_fingerprint(
             self.graph,
-            self.measurer.sim_cache().profile_fp(),
+            self.acct.measurer().sim_cache().profile_fp(),
             &self.cfg,
         );
-        if let (Some(store), Some(fp)) = (self.cfg.store.clone(), task_fp) {
-            if self.cfg.resume.is_none() && self.cfg.halt_after.is_none() {
-                let winner = store.get(alt_store::kind::WINNER, fp).and_then(|payload| {
+        let resume = self.cfg.resume.take();
+        // With a store attached, a completed identical task (same graph,
+        // machine and result-relevant configuration) short-circuits the
+        // whole search: the stored winner's decisions are replayed
+        // exactly like a checkpoint restore, consuming zero budget.
+        // Resumed and halting runs never warm-start: they continue or
+        // cut their own transcript.
+        let winner = match (&self.cfg.store, task_fp) {
+            (Some(store), Some(fp)) if resume.is_none() && self.cfg.halt_after.is_none() => {
+                store.get(alt_store::kind::WINNER, fp).and_then(|payload| {
                     crate::winner::decode_winner(&payload, fp, &graph_signature(self.graph))
-                });
-                if let Some(w) = winner {
-                    return self.replay_winner(&w, plan, sched, &clones_of);
-                }
+                })
             }
+            _ => None,
+        };
+        if resume.is_none() {
+            self.acct.header(&self.cfg);
         }
-
-        // ---- Resume ----
-        // A checkpoint cuts at a joint-stage op boundary or a loop-stage
-        // iteration. Restoring replays the committed layout decisions
-        // (deterministic), restores flat state (schedules, datasets, RNG
-        // words, budget counter) and then falls through into the normal
-        // stage loops at the recorded cursor.
-        let mut start_rep = 0usize;
-        let mut start_loop_iter = 0u64;
-        let mut joint_start = 0u64;
-        let mut skip_joint = false;
-        let mut critic_state: Option<CriticState> = None;
-        let resumed = self.cfg.resume.is_some();
-        if let Some(ck) = self.cfg.resume.take() {
+        if let Some(w) = winner {
+            self.replay_commits(&mut plan, &w.committed, &tasks);
+            install_sched(&mut sched, &w.sched);
+            // The replayed configuration re-measures (free) and cross-
+            // checks the stored latency: a mismatch is counted, not
+            // fatal — the replayed decisions are this build's truth.
+            let latency = self.acct.measurer().measure_graph_free(&plan, &sched);
+            self.acct.check_replay(latency, w.latency_s);
+            return self.finish(plan, sched, latency, task_fp, RunEnd::WarmStart);
+        }
+        let mut cursor = Cursor::default();
+        if let Some(ck) = resume {
             ck.validate(self.graph, self.cfg.seed)
+                .and_then(|()| ck.validate_budgets(self.cfg.joint_budget, self.cfg.loop_budget))
                 .expect("checkpoint does not match this run");
-            self.restore_from(&ck, &mut plan, &mut sched, &clones_of);
-            critic_state = ck.critic;
-            joint_start = ck.joint_start;
-            if ck.phase == "joint" {
-                start_rep = ck.next_rep as usize;
-            } else {
-                skip_joint = true;
-                start_loop_iter = ck.loop_iter;
-            }
+            cursor = self.restore_from(ck, &mut plan, &mut sched, &tasks);
         }
-
-        // The header is written once per journal: a resumed run appends
-        // to the journal its interrupted predecessor started, which
-        // already begins with this exact header.
-        if !resumed {
-            self.cfg.journal.emit(JournalRecord::Header(JournalHeader {
-                version: JOURNAL_VERSION,
-                seed: self.cfg.seed,
-                profile_fp: self.measurer.sim_cache().profile_fp(),
-                joint_budget: self.cfg.joint_budget,
-                loop_budget: self.cfg.loop_budget,
-            }));
-        }
-
-        // ---- Joint stage (Fig. 8) ----
-        // Budget accounting is strict: the joint stage never spends more
-        // than `joint_budget` in total (per-op shares are capped by what
-        // is left), and anything it under-spends is handed to the
-        // loop-only stage, so a run with at least one complex operator
-        // consumes exactly `joint_budget + loop_budget` measurements.
-        let mut halted = false;
-        if joint_ran && !reps.is_empty() && !skip_joint {
-            let span = Span::enter(&telemetry, "joint_stage");
-            let _timing = self.cfg.timing.phase("joint_stage");
-            self.measurer.ctx.stage = Stage::Joint;
-            if start_rep == 0 {
-                joint_start = self.measurer.used;
-            }
-            let critic = match (&critic_state, &self.cfg.pretrained) {
-                (Some(cs), _) => SharedCritic::from_state(cs),
-                (None, Some(w)) => SharedCritic::from_weights(w),
-                (None, None) => SharedCritic::new(self.cfg.seed ^ 0x9e37),
-            };
-            for i in start_rep..reps.len() {
-                let op = reps[i];
-                if self.checkpoint_cut("joint", i as u64, 0, joint_start, &sched, Some(&critic)) {
-                    halted = true;
-                    break;
-                }
-                let joint_left = self
-                    .cfg
-                    .joint_budget
-                    .saturating_sub(self.measurer.used - joint_start);
-                if joint_left == 0 {
-                    break;
-                }
-                let op_budget =
-                    ((self.cfg.joint_budget as f64 * shares[i]).ceil() as u64).min(joint_left);
-                let agent = match &self.cfg.pretrained {
-                    Some(w) => PpoAgent::from_weights(w, critic.clone(), self.cfg.seed + i as u64),
-                    None => PpoAgent::new(critic.clone(), self.cfg.seed + i as u64),
-                };
-                let best = self.joint_tune_op(op, op_budget, agent, &mut plan, &mut sched);
-                // Replicate the winning layout and schedule to the task's
-                // clones.
-                if let Some((point, lsched)) = best {
-                    self.committed.push(CommitSnap {
-                        op: op.0,
-                        point: point.clone(),
-                    });
-                    span.event(
-                        "layout_committed",
-                        &[
-                            ("op", op_label(self.graph, op)),
-                            ("point", format!("{point:?}")),
-                        ],
-                    );
-                    for &clone in &clones_of[&op] {
-                        if let Some(ct) = build_layout_template_ex(
-                            self.graph,
-                            clone,
-                            self.cfg.levels,
-                            self.cfg.advanced_layouts,
-                        ) {
-                            if let Ok(dec) = decode_layout_point(self.graph, &ct, &point) {
-                                apply_layout_decision(
-                                    self.graph,
-                                    &mut plan,
-                                    clone,
-                                    &dec,
-                                    self.cfg.free_input_layouts,
-                                );
-                                sched.set(clone, lsched.clone());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Loop-only stage ----
-        // Tops the total up to exactly `joint_budget + loop_budget`
-        // (or just `loop_budget` when the joint stage was disabled).
-        let target = if joint_ran { self.cfg.joint_budget } else { 0 } + self.cfg.loop_budget;
-        if !halted && !reps.is_empty() && self.measurer.used < target {
-            let _span = Span::enter(&telemetry, "loop_stage");
-            let _timing = self.cfg.timing.phase("loop_stage");
-            self.measurer.ctx.stage = Stage::Loop;
-            let mut i = start_loop_iter;
-            while self.measurer.used < target {
-                if self.checkpoint_cut("loop", 0, i, joint_start, &sched, None) {
-                    halted = true;
-                    break;
-                }
-                let op = reps[i as usize % reps.len()];
-                let remaining = target - self.measurer.used;
-                self.loop_tune_rounds(op, &plan, &mut sched, 1, remaining);
-                for &clone in &clones_of[&op] {
-                    sched.set(clone, sched.get(op));
-                }
-                i += 1;
-                if i > 100_000 {
-                    break;
-                }
-            }
-        }
-
+        let halted = self.joint_stage(&tasks, &mut plan, &mut sched, &mut cursor)
+            || self.loop_stage(&tasks, &plan, &mut sched, &cursor);
         // Graceful degradation: whatever faults or halts happened above,
         // the run always completes with the best healthy plan/schedule
         // found so far (worst case: the base schedule).
-        let latency = self.measurer.measure_graph_free(&plan, &sched);
-        // A halted run writes no summary — its resumed successor will,
-        // so the halted and resumed journals concatenate into exactly
-        // the journal an uninterrupted run would have written.
-        if !halted {
-            let has_store = self.cfg.store.is_some();
-            let (sh, sm) = self.measurer.store_stats();
-            self.cfg
-                .journal
-                .emit(JournalRecord::Summary(JournalSummary {
-                    measurements: self.measurer.used,
-                    best_latency_s: finite(latency),
-                    store_hits: has_store.then_some(sh),
-                    store_misses: has_store.then_some(sm),
-                    warm_start: has_store.then_some(false),
-                }));
-            // A completed run publishes its winner for future identical
-            // tasks; a halted run does not (its resumed successor will).
-            // A failed publish degrades the store, never the run.
-            if let (Some(store), Some(fp)) = (&self.cfg.store, task_fp) {
-                let record = crate::winner::WinnerRecord {
-                    version: crate::winner::WINNER_VERSION,
-                    graph_sig: graph_signature(self.graph),
-                    task_fp: fp,
-                    seed: self.cfg.seed,
-                    measurements: self.measurer.used,
-                    committed: self.committed.clone(),
-                    sched: (0..self.graph.nodes().len())
-                        .map(|k| SchedSnap::of(&sched.get(OpId(k))))
-                        .collect(),
-                    latency_s: latency,
-                };
-                if let Ok(payload) = crate::winner::encode_winner(&record) {
-                    let _ = store.put(alt_store::kind::WINNER, fp, &payload);
-                }
-            }
-        }
-        self.cfg.journal.flush();
-        self.registry.flush_to(&telemetry);
-        self.measurer.flush_counters();
-        let (cache_hits, cache_misses) = self.measurer.cache_stats();
-        let (store_hits, store_misses) = self.measurer.store_stats();
-        TuneResult {
-            plan,
-            sched,
-            latency,
-            history: self.measurer.history.clone(),
-            measurements: self.measurer.used,
-            cache_hits,
-            cache_misses,
-            store_hits,
-            store_misses,
-            warm_start: false,
-        }
+        let latency = self.acct.measurer().measure_graph_free(&plan, &sched);
+        let end = if halted {
+            RunEnd::Halted
+        } else {
+            RunEnd::Searched
+        };
+        self.finish(plan, sched, latency, task_fp, end)
     }
 
-    /// Replays a stored winner: rebuilds the layout plan from its
-    /// committed decisions (representatives *and* clones, exactly like a
-    /// checkpoint restore), installs the schedule snapshots, and returns
-    /// a zero-budget result. The replayed configuration re-measures
-    /// (free) and cross-checks the stored latency — a mismatch is
-    /// counted, not fatal: the replayed decisions are still this build's
-    /// ground truth.
-    fn replay_winner(
+    /// The finish step every run shares: journal summary, winner
+    /// publication, flushes and the result.
+    fn finish(
         self,
-        w: &crate::winner::WinnerRecord,
-        mut plan: LayoutPlan,
-        mut sched: GraphSchedule,
-        clones_of: &HashMap<OpId, Vec<OpId>>,
+        plan: LayoutPlan,
+        sched: GraphSchedule,
+        latency: f64,
+        task_fp: Option<u64>,
+        end: RunEnd,
     ) -> TuneResult {
-        for c in &w.committed {
-            let op = OpId(c.op);
-            let mut targets = vec![op];
-            if let Some(clones) = clones_of.get(&op) {
-                targets.extend(clones.iter().copied());
+        if end != RunEnd::Halted {
+            self.acct.summary(latency, end == RunEnd::WarmStart);
+        }
+        // A completed search publishes its winner for future identical
+        // tasks. A failed publish degrades the store, never the run.
+        if let (RunEnd::Searched, Some(store), Some(fp)) = (end, &self.cfg.store, task_fp) {
+            let record = crate::winner::WinnerRecord {
+                version: crate::winner::WINNER_VERSION,
+                graph_sig: graph_signature(self.graph),
+                task_fp: fp,
+                seed: self.cfg.seed,
+                measurements: self.acct.used(),
+                committed: self.committed.clone(),
+                sched: snapshot_sched(self.graph, &sched),
+                latency_s: latency,
+            };
+            if let Ok(payload) = crate::winner::encode_winner(&record) {
+                let _ = store.put(alt_store::kind::WINNER, fp, &payload);
             }
-            for t in targets {
-                if let Some(tmpl) = build_layout_template_ex(
+        }
+        self.acct
+            .close(plan, sched, latency, end == RunEnd::WarmStart)
+    }
+
+    /// Replays committed layout decisions onto `plan` in commit order,
+    /// each onto its representative and the representative's task
+    /// clones. Template construction and decoding are deterministic, so
+    /// the rebuilt plan is exactly the one the decisions were committed
+    /// to: the joint stage, checkpoint restores and stored winners all
+    /// apply decisions through here.
+    fn replay_commits(&self, plan: &mut LayoutPlan, commits: &[CommitSnap], tasks: &Tasks) {
+        for c in commits {
+            for t in tasks.members(OpId(c.op)) {
+                let Some(tmpl) = build_layout_template_ex(
                     self.graph,
                     t,
                     self.cfg.levels,
                     self.cfg.advanced_layouts,
-                ) {
-                    if let Ok(dec) = decode_layout_point(self.graph, &tmpl, &c.point) {
-                        apply_layout_decision(
-                            self.graph,
-                            &mut plan,
-                            t,
-                            &dec,
-                            self.cfg.free_input_layouts,
-                        );
-                    }
+                ) else {
+                    continue;
+                };
+                if let Ok(dec) = decode_layout_point(self.graph, &tmpl, &c.point) {
+                    apply_layout_decision(self.graph, plan, t, &dec, self.cfg.free_input_layouts);
                 }
             }
         }
-        for (k, snap) in w.sched.iter().enumerate() {
-            sched.set(OpId(k), snap.to_sched());
-        }
-        let latency = self.measurer.measure_graph_free(&plan, &sched);
-        if latency.to_bits() != w.latency_s.to_bits() {
-            self.registry.add("store.winner_mismatch", 1.0);
-        }
-        // The journal still records the (trivial) run, so downstream
-        // consumers always find a header and a summary.
-        self.cfg.journal.emit(JournalRecord::Header(JournalHeader {
-            version: JOURNAL_VERSION,
-            seed: self.cfg.seed,
-            profile_fp: self.measurer.sim_cache().profile_fp(),
-            joint_budget: self.cfg.joint_budget,
-            loop_budget: self.cfg.loop_budget,
-        }));
-        self.cfg
-            .journal
-            .emit(JournalRecord::Summary(JournalSummary {
-                measurements: 0,
-                best_latency_s: finite(latency),
-                store_hits: Some(0),
-                store_misses: Some(0),
-                warm_start: Some(true),
-            }));
-        self.cfg.journal.flush();
-        self.registry.flush_to(&self.cfg.telemetry);
-        self.measurer.flush_counters();
-        TuneResult {
-            plan,
-            sched,
-            latency,
-            history: Vec::new(),
-            measurements: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            store_hits: 0,
-            store_misses: 0,
-            warm_start: true,
-        }
     }
 
-    /// Restores flat tuner state from a checkpoint and replays committed
-    /// layout decisions into `plan` / `sched`.
+    /// Restores a validated checkpoint — accounting state, replayed
+    /// layout decisions, schedules and search state — and returns the
+    /// cut point the stages continue from.
     fn restore_from(
         &mut self,
-        ck: &TunerCheckpoint,
+        ck: TunerCheckpoint,
         plan: &mut LayoutPlan,
         sched: &mut GraphSchedule,
-        clones_of: &HashMap<OpId, Vec<OpId>>,
-    ) {
-        let mut state = [0u64; 4];
-        state.copy_from_slice(&ck.rng_state);
-        self.rng.restore(state);
-        self.measurer.used = ck.used;
-        self.measurer.history = ck.history.clone();
-        self.measurer.restore_best(&ck.best_by_op);
-        // Replay the committed joint-stage decisions in commit order;
-        // template construction and decoding are deterministic, so the
-        // rebuilt plan is identical to the one the checkpoint cut from.
-        for c in &ck.committed {
-            let op = OpId(c.op);
-            let mut targets = vec![op];
-            if let Some(clones) = clones_of.get(&op) {
-                targets.extend(clones.iter().copied());
-            }
-            for t in targets {
-                if let Some(tmpl) = build_layout_template_ex(
-                    self.graph,
-                    t,
-                    self.cfg.levels,
-                    self.cfg.advanced_layouts,
-                ) {
-                    if let Ok(dec) = decode_layout_point(self.graph, &tmpl, &c.point) {
-                        apply_layout_decision(
-                            self.graph,
-                            plan,
-                            t,
-                            &dec,
-                            self.cfg.free_input_layouts,
-                        );
-                    }
-                }
-            }
-            self.committed.push(c.clone());
+        tasks: &Tasks,
+    ) -> Cursor {
+        self.acct.restore(&ck);
+        self.replay_commits(plan, &ck.committed, tasks);
+        install_sched(sched, &ck.sched);
+        for ls in ck.loop_state {
+            self.loop_state
+                .insert(OpId(ls.op), LoopTuneState::restore(ls));
         }
-        for (k, snap) in ck.sched.iter().enumerate() {
-            sched.set(OpId(k), snap.to_sched());
+        for bp in ck.best_points {
+            self.best_points.insert(OpId(bp.op), bp);
         }
-        for ls in &ck.loop_state {
-            let mut state = LoopTuneState::new();
-            state.dataset_x = ls.dataset_x.clone();
-            state.dataset_y = ls.dataset_y.clone();
-            state.rounds = ls.rounds;
-            state.trained_on = ls.trained_on;
-            // The model is not serialized: GBT fitting is deterministic,
-            // so refitting on the same training prefix reproduces it.
-            let n = ls.trained_on as usize;
-            if n >= 16 {
-                state.model = GbtModel::fit(
-                    &state.dataset_x[..n],
-                    &state.dataset_y[..n],
-                    GbtParams::default(),
-                );
-            }
-            self.loop_state.insert(OpId(ls.op), state);
-        }
-        for bp in &ck.best_points {
-            self.best_points
-                .insert(OpId(bp.op), (bp.point.clone(), bp.latency_s));
-        }
-        self.quarantine = ck.quarantine.iter().cloned().collect();
-        self.fail_counts = ck.fail_counts.clone();
-        for (name, value) in &ck.counters {
-            self.registry.add(name, *value);
-        }
-        // The memo table is not persisted (simulation is pure), but the
-        // interrupted leg's accounted keys are: their re-simulations
-        // must read as the cache hits the uninterrupted run recorded.
-        self.measurer
-            .sim_cache()
-            .restore_accounted(&ck.accounted_keys);
+        self.committed = ck.committed;
         self.last_checkpoint = ck.used;
-    }
-
-    /// Snapshot of the whole tuner at a cut point.
-    fn snapshot(
-        &self,
-        phase: &str,
-        next_rep: u64,
-        loop_iter: u64,
-        joint_start: u64,
-        sched: &GraphSchedule,
-        critic: Option<CriticState>,
-    ) -> TunerCheckpoint {
-        let mut loop_state: Vec<LoopStateSnap> = self
-            .loop_state
-            .iter()
-            .map(|(op, st)| LoopStateSnap {
-                op: op.0,
-                dataset_x: st.dataset_x.clone(),
-                dataset_y: st.dataset_y.clone(),
-                rounds: st.rounds,
-                trained_on: st.trained_on,
-            })
-            .collect();
-        loop_state.sort_by_key(|s| s.op);
-        let mut best_points: Vec<BestPointSnap> = self
-            .best_points
-            .iter()
-            .map(|(op, (p, l))| BestPointSnap {
-                op: op.0,
-                point: p.clone(),
-                latency_s: *l,
-            })
-            .collect();
-        best_points.sort_by_key(|b| b.op);
-        let mut quarantine: Vec<String> = self.quarantine.iter().cloned().collect();
-        quarantine.sort();
-        TunerCheckpoint {
-            version: CHECKPOINT_VERSION,
-            seed: self.cfg.seed,
-            graph_sig: graph_signature(self.graph),
-            joint_budget: self.cfg.joint_budget,
-            loop_budget: self.cfg.loop_budget,
-            phase: phase.to_string(),
-            next_rep,
-            loop_iter,
-            joint_start,
-            used: self.measurer.used,
-            history: self.measurer.history.clone(),
-            best_by_op: self.measurer.best_snapshot(),
-            rng_state: self.rng.state().to_vec(),
-            committed: self.committed.clone(),
-            sched: (0..self.graph.nodes().len())
-                .map(|k| SchedSnap::of(&sched.get(OpId(k))))
-                .collect(),
-            loop_state,
-            best_points,
-            critic,
-            quarantine,
-            fail_counts: self.fail_counts.clone(),
-            counters: self.registry.snapshot(),
-            accounted_keys: self.measurer.sim_cache().accounted_keys(),
+        let in_joint = ck.phase == "joint";
+        Cursor {
+            next_rep: if in_joint { ck.next_rep as usize } else { 0 },
+            loop_iter: if in_joint { 0 } else { ck.loop_iter },
+            joint_start: ck.joint_start,
+            skip_joint: !in_joint,
+            critic: ck.critic,
         }
     }
 
@@ -903,210 +633,175 @@ impl<'g> Tuner<'g> {
         sched: &GraphSchedule,
         critic: Option<&Rc<RefCell<SharedCritic>>>,
     ) -> bool {
-        let halt = self.cfg.halt_after.is_some_and(|h| self.measurer.used >= h);
+        let used = self.acct.used();
+        let halt = self.cfg.halt_after.is_some_and(|h| used >= h);
         let periodic = self.cfg.checkpoint_every > 0
-            && self.measurer.used.saturating_sub(self.last_checkpoint) >= self.cfg.checkpoint_every;
+            && used.saturating_sub(self.last_checkpoint) >= self.cfg.checkpoint_every;
         if !halt && !periodic {
             return false;
         }
-        if let Some(path) = self.cfg.checkpoint_path.clone() {
+        if let Some(path) = &self.cfg.checkpoint_path {
             let _timing = self.cfg.timing.phase("checkpoint");
-            let ck = self.snapshot(
-                phase,
+            let mut loop_state: Vec<LoopStateSnap> =
+                self.loop_state.values().map(|st| st.data.clone()).collect();
+            loop_state.sort_by_key(|s| s.op);
+            let mut best_points: Vec<BestPointSnap> = self.best_points.values().cloned().collect();
+            best_points.sort_by_key(|b| b.op);
+            let ck = TunerCheckpoint {
+                version: CHECKPOINT_VERSION,
+                seed: self.cfg.seed,
+                graph_sig: graph_signature(self.graph),
+                joint_budget: self.cfg.joint_budget,
+                loop_budget: self.cfg.loop_budget,
+                phase: phase.to_string(),
                 next_rep,
                 loop_iter,
                 joint_start,
-                sched,
-                critic.map(|c| c.borrow().state()),
-            );
-            if let Err(e) = ck.save(&path) {
+                committed: self.committed.clone(),
+                sched: snapshot_sched(self.graph, sched),
+                loop_state,
+                best_points,
+                critic: critic.map(|c| c.borrow().state()),
+                ..self.acct.checkpoint()
+            };
+            if let Err(e) = ck.save(path) {
                 // A failed checkpoint write must never kill the run it
                 // exists to protect; the run continues uncheckpointed.
                 eprintln!("warning: {e}");
             }
-            self.last_checkpoint = self.measurer.used;
+            self.last_checkpoint = used;
         }
         halt
     }
 
-    /// Measures with bounded retry on transient faults. Every attempt
-    /// consumes one budget unit (capped at `cap`); the exponential
-    /// backoff between attempts is recorded in the trace, not slept
-    /// (the simulator has no wall clock). Returns `None` when the
-    /// candidate ultimately failed — after updating its failure count
-    /// and, past the threshold, the quarantine set.
-    fn measure_with_retry(
+    /// Joint stage (Fig. 8): each task representative in topological
+    /// order gets a flops-proportional share of the joint budget to
+    /// search layouts, and its winning layout is committed. Accounting
+    /// is strict: the stage never spends more than `joint_budget` in
+    /// total (shares are capped by what is left), and whatever it
+    /// under-spends goes to the loop-only stage. Returns `true` when the
+    /// run halted at a checkpoint cut.
+    fn joint_stage(
         &mut self,
+        tasks: &Tasks,
+        plan: &mut LayoutPlan,
+        sched: &mut GraphSchedule,
+        cursor: &mut Cursor,
+    ) -> bool {
+        if self.cfg.fixed_layout.is_some()
+            || self.cfg.joint_budget == 0
+            || tasks.reps.is_empty()
+            || cursor.skip_joint
+        {
+            return false;
+        }
+        self.acct.begin_stage(Stage::Joint);
+        if cursor.next_rep == 0 {
+            cursor.joint_start = self.acct.used();
+        }
+        let critic = match (&cursor.critic, &self.cfg.pretrained) {
+            (Some(cs), _) => SharedCritic::from_state(cs),
+            (None, Some(w)) => SharedCritic::from_weights(w),
+            (None, None) => SharedCritic::new(self.cfg.seed ^ 0x9e37),
+        };
+        let shares = budget_shares(self.graph, &tasks.reps);
+        let mut halted = false;
+        for (i, &op) in tasks.reps.iter().enumerate().skip(cursor.next_rep) {
+            if self.checkpoint_cut(
+                "joint",
+                i as u64,
+                0,
+                cursor.joint_start,
+                sched,
+                Some(&critic),
+            ) {
+                halted = true;
+                break;
+            }
+            let joint_left = self
+                .cfg
+                .joint_budget
+                .saturating_sub(self.acct.used() - cursor.joint_start);
+            if joint_left == 0 {
+                break;
+            }
+            let op_budget =
+                ((self.cfg.joint_budget as f64 * shares[i]).ceil() as u64).min(joint_left);
+            let seed = self.cfg.seed + i as u64;
+            let agent = match &self.cfg.pretrained {
+                Some(w) => PpoAgent::from_weights(w, critic.clone(), seed),
+                None => PpoAgent::new(critic.clone(), seed),
+            };
+            if let Some((point, lsched, lat)) =
+                self.joint_tune_op(op, op_budget, agent, plan, sched)
+            {
+                // Commit the winning layout and schedule for the whole
+                // task.
+                let commit = CommitSnap { op: op.0, point };
+                self.replay_commits(plan, std::slice::from_ref(&commit), tasks);
+                for t in tasks.members(op) {
+                    sched.set(t, lsched.clone());
+                }
+                self.best_points.remove(&op);
+                self.acct.layout_commit(&commit.point, lat);
+                self.committed.push(commit);
+            }
+        }
+        self.acct.end_stage();
+        halted
+    }
+
+    /// Loop-only stage: with layouts frozen (so loop spaces stop being
+    /// reconstructed), tops the total up to exactly `joint_budget +
+    /// loop_budget` (or just `loop_budget` when the joint stage was
+    /// disabled) by refining schedules round-robin across tasks. Returns
+    /// `true` when the run halted at a checkpoint cut.
+    fn loop_stage(
+        &mut self,
+        tasks: &Tasks,
         plan: &LayoutPlan,
-        sched: &GraphSchedule,
-        roots: &HashSet<OpId>,
-        cap: u64,
-    ) -> Option<f64> {
-        let max_attempts = (1 + self.cfg.max_retries).min(cap.max(1));
-        let mut attempt = 1u64;
-        loop {
-            self.measurer.ctx.attempt = attempt;
-            self.measurer.ctx.backoff_us = if attempt <= 1 {
-                0
-            } else {
-                100u64 << (attempt - 2).min(20)
-            };
-            // Re-attempts get their own wall-clock phase so fault/retry
-            // cost shows up separately from first-try measurement.
-            let attempt_result = if attempt > 1 {
-                let _timing = self.cfg.timing.phase("retry");
-                self.measurer.measure_ops(plan, sched, roots)
-            } else {
-                self.measurer.measure_ops(plan, sched, roots)
-            };
-            match attempt_result {
-                Ok(lat) => {
-                    self.measurer.ctx.attempt = 1;
-                    self.measurer.ctx.backoff_us = 0;
-                    self.last_failure = None;
-                    return Some(lat);
-                }
-                Err(e) => {
-                    self.registry.add(&format!("failures.{}", e.kind()), 1.0);
-                    if e.is_transient() && attempt < max_attempts {
-                        self.registry.add("retries", 1.0);
-                        attempt += 1;
-                        continue;
-                    }
-                    self.last_failure = Some(e.kind().to_string());
-                    let key = format!("{}:{}", self.measurer.ctx.op, self.measurer.ctx.candidate);
-                    let count = self.fail_counts.entry(key.clone()).or_insert(0);
-                    *count += 1;
-                    if *count >= self.cfg.quarantine_threshold && self.quarantine.insert(key) {
-                        self.registry.add("quarantined", 1.0);
-                    }
-                    self.measurer.ctx.attempt = 1;
-                    self.measurer.ctx.backoff_us = 0;
-                    return None;
-                }
+        sched: &mut GraphSchedule,
+        cursor: &Cursor,
+    ) -> bool {
+        let joint_ran = self.cfg.fixed_layout.is_none() && self.cfg.joint_budget > 0;
+        let target = if joint_ran { self.cfg.joint_budget } else { 0 } + self.cfg.loop_budget;
+        if tasks.reps.is_empty() || self.acct.used() >= target {
+            return false;
+        }
+        self.acct.begin_stage(Stage::Loop);
+        let mut halted = false;
+        let mut i = cursor.loop_iter;
+        while self.acct.used() < target {
+            if self.checkpoint_cut("loop", 0, i, cursor.joint_start, sched, None) {
+                halted = true;
+                break;
+            }
+            let op = tasks.reps[i as usize % tasks.reps.len()];
+            let remaining = target - self.acct.used();
+            self.loop_tune_rounds(op, plan, sched, 1, remaining);
+            for &clone in &tasks.clones_of[&op] {
+                sched.set(clone, sched.get(op));
+            }
+            i += 1;
+            if i > 100_000 {
+                break;
             }
         }
+        self.acct.end_stage();
+        halted
     }
 
-    /// Base candidate record capturing the measurement context (op,
-    /// stage, round, budget counter); call sites fill outcome-specific
-    /// fields before emitting.
-    fn candidate_base(&self, origin: &str, point: &[usize], outcome: &str) -> CandidateRecord {
-        CandidateRecord {
-            op: self.measurer.ctx.op.clone(),
-            stage: match self.measurer.ctx.stage {
-                Stage::Joint => "joint",
-                Stage::Loop => "loop",
-            }
-            .to_string(),
-            round: self.measurer.ctx.round,
-            provenance: origin.to_string(),
-            point: point.iter().map(|&x| x as u64).collect(),
-            outcome: outcome.to_string(),
-            predicted: None,
-            latency_s: None,
-            vcode: None,
-            error: None,
-            attempts: 0,
-            budget_end: self.measurer.used,
-            program_fp: None,
-            cache_key: None,
-        }
-    }
-
-    /// Folds one candidate's set-engine counters into the run registry.
-    /// Queries and recoveries are pure functions of the candidate and
-    /// folded on the sequential merge path, so the totals (and thus the
-    /// deterministic trace and checkpoints) stay jobs-invariant. The
-    /// wall-clock emptiness time is *not* added here — workers observe
-    /// it into the timing registry, which is exempt from determinism.
-    fn add_verify_stats(&self, vs: &alt_verify::VerifyStats) {
-        if vs.set_queries == 0 && vs.conservative_recovered == 0 {
-            return;
-        }
-        self.registry
-            .add("verify.set_queries", vs.set_queries as f64);
-        self.registry.add(
-            "verify.conservative_recovered",
-            vs.conservative_recovered as f64,
-        );
-    }
-
-    /// Journals a zero-budget terminal outcome (`skipped`,
-    /// `quarantined`, `lower_failed`, `verify_rejected`).
-    fn journal_dropped(&self, origin: &str, point: &[usize], outcome: &str, vcode: Option<String>) {
-        if !self.cfg.journal.is_enabled() {
-            return;
-        }
-        let mut rec = self.candidate_base(origin, point, outcome);
-        rec.vcode = vcode;
-        self.cfg.journal.emit(JournalRecord::Candidate(rec));
-    }
-
-    /// Journals the terminal outcome of a budgeted measurement:
-    /// `measured` / `cache_hit` on success (with the cache-probe
-    /// fingerprints), `failed` after retries gave up. `attempts` is the
-    /// exact number of budget units the candidate consumed, including
-    /// retries — the journal-side half of the budget conservation law.
-    fn journal_attempted(
-        &self,
-        origin: &str,
-        point: &[usize],
-        predicted: Option<f64>,
-        result: Option<f64>,
-        used_before: u64,
-    ) {
-        if !self.cfg.journal.is_enabled() {
-            return;
-        }
-        let mut rec = self.candidate_base(origin, point, outcome::FAILED);
-        rec.predicted = predicted;
-        rec.attempts = self.measurer.used - used_before;
-        match result {
-            Some(lat) => {
-                rec.latency_s = finite(lat);
-                let probe = self.measurer.last_probe;
-                rec.outcome = if probe.is_some_and(|p| p.hit) {
-                    outcome::CACHE_HIT
-                } else {
-                    outcome::MEASURED
-                }
-                .to_string();
-                if let Some(p) = probe {
-                    rec.program_fp = Some(p.program_fp);
-                    rec.cache_key = Some(p.cache_key);
-                }
-            }
-            None => rec.error = self.last_failure.clone(),
-        }
-        self.cfg.journal.emit(JournalRecord::Candidate(rec));
-    }
-
-    /// Journals one assessed layout candidate of the joint stage.
-    fn journal_layout_visit(&self, op: OpId, origin: &str, point: &[usize], lat: f64) {
-        if !self.cfg.journal.is_enabled() {
-            return;
-        }
-        self.cfg
-            .journal
-            .emit(JournalRecord::LayoutVisit(LayoutVisitRecord {
-                op: op_label(self.graph, op),
-                provenance: origin.to_string(),
-                point: point.iter().map(|&x| x as u64).collect(),
-                latency_s: finite(lat),
-            }));
-    }
-
-    /// Joint tuning of one complex operator: the cross-exploration loop.
-    /// Returns the committed (layout point, schedule), if any.
+    /// Joint tuning of one task representative: the cross-exploration
+    /// loop. Returns the winning (layout point, schedule, latency), if
+    /// any, for the caller to commit.
     fn joint_tune_op(
         &mut self,
         op: OpId,
         budget: u64,
-        mut agent: PpoAgent,
-        plan: &mut LayoutPlan,
+        agent: PpoAgent,
+        plan: &LayoutPlan,
         sched: &mut GraphSchedule,
-    ) -> Option<(Point, OpSchedule)> {
+    ) -> Option<(Point, OpSchedule, f64)> {
         let tmpl =
             build_layout_template_ex(self.graph, op, self.cfg.levels, self.cfg.advanced_layouts)?;
         // Not enough budget for even one layout episode: leave the op on
@@ -1114,13 +809,52 @@ impl<'g> Tuner<'g> {
         if budget < self.cfg.topk as u64 {
             return None;
         }
-        let n_knobs = tmpl.space.knobs.len();
-        let start = self.measurer.used;
-        self.measurer.ctx.op = op_label(self.graph, op);
+        self.acct.enter_op(op_label(self.graph, op));
+        let start = self.acct.used();
         // Reserve roughly a third of the op budget for re-assessing the
         // finalists; exploration gets the rest. Both phases are hard-capped
         // so the op never spends more than `budget` in total.
-        let explore_budget = budget - budget / 3;
+        let (mut best, finalists) =
+            self.explore_layouts(op, &tmpl, budget - budget / 3, agent, plan, sched);
+        // Re-assess the finalists more deeply before committing: shallow
+        // per-layout assessments are noisy, and a mis-commit cannot be
+        // recovered in the loop-only stage. The re-assessment spends what
+        // is left of the op budget, never more.
+        let finalist_cap = budget.saturating_sub(self.acct.used() - start);
+        let finalist_start = self.acct.used();
+        for point in finalists {
+            let spent = self.acct.used() - finalist_start;
+            if spent >= finalist_cap {
+                break;
+            }
+            let rem = (finalist_cap - spent).max(1);
+            let Some(lat) = self.assess_layout(op, &tmpl, &point, plan, sched, 3, rem) else {
+                continue;
+            };
+            self.acct.layout_visit(provenance::FINALIST, &point, lat);
+            if lat.is_finite() && best.as_ref().is_none_or(|b| lat < b.0) {
+                best = Some((lat, point, sched.get(op)));
+            }
+        }
+        best.map(|(lat, point, lsched)| (point, lsched, lat))
+    }
+
+    /// The joint stage's exploration: well-known seed layouts first,
+    /// then PPO (or random) proposals, each assessed by
+    /// `ROUNDS_PER_LAYOUT` rounds of loop tuning and rewarded by its best
+    /// loop latency. Returns the best assessment and up to three distinct
+    /// finalists, fastest first.
+    fn explore_layouts(
+        &mut self,
+        op: OpId,
+        tmpl: &LayoutTemplate,
+        explore_budget: u64,
+        mut agent: PpoAgent,
+        plan: &LayoutPlan,
+        sched: &mut GraphSchedule,
+    ) -> (Option<(f64, Point, OpSchedule)>, Vec<Point>) {
+        let n_knobs = tmpl.space.knobs.len();
+        let start = self.acct.used();
         let mut cur_point: Point = tmpl
             .space
             .knobs
@@ -1135,58 +869,38 @@ impl<'g> Tuner<'g> {
         // unit-spatial point); visit them first so the search starts from
         // the strongest fixed-layout baselines.
         let mut seeds = if self.cfg.seed_candidates {
-            seed_points(self.graph, &tmpl)
+            seed_points(self.graph, tmpl)
         } else {
             Vec::new()
         };
-
         let mut iters = 0u64;
-        while self.measurer.used - start < explore_budget {
+        while self.acct.used() - start < explore_budget {
             iters += 1;
             if iters > 100_000 {
                 break;
             }
             let obs = pad_obs(tmpl.space.encode(&cur_point));
-            let (point, acts, logp, origin) = if let Some(p) = seeds.pop() {
-                (p, vec![], f32::NAN, provenance::SEED)
-            } else {
-                match self.cfg.layout_search {
-                    LayoutSearch::Ppo => {
-                        let (acts, logp) = agent.act(&obs);
-                        (
-                            tmpl.space.decode_actions(&acts[..n_knobs]),
-                            acts,
-                            logp,
-                            provenance::PPO,
-                        )
-                    }
-                    LayoutSearch::Random => {
-                        let p = tmpl.space.random_point(&mut self.rng);
-                        (p, vec![], f32::NAN, provenance::RANDOM)
-                    }
+            let (point, acts, logp, origin) = match (seeds.pop(), self.cfg.layout_search) {
+                (Some(p), _) => (p, vec![], f32::NAN, provenance::SEED),
+                (None, LayoutSearch::Ppo) => {
+                    let (acts, logp) = agent.act(&obs);
+                    let p = tmpl.space.decode_actions(&acts[..n_knobs]);
+                    (p, acts, logp, provenance::PPO)
+                }
+                (None, LayoutSearch::Random) => {
+                    let p = tmpl.space.random_point(self.acct.rng());
+                    (p, vec![], f32::NAN, provenance::RANDOM)
                 }
             };
-            let Ok(decision) = decode_layout_point(self.graph, &tmpl, &point) else {
+            let remaining = explore_budget
+                .saturating_sub(self.acct.used() - start)
+                .max(1);
+            let Some(lat) =
+                self.assess_layout(op, tmpl, &point, plan, sched, ROUNDS_PER_LAYOUT, remaining)
+            else {
                 continue;
             };
-            // Assess the layout on a trial copy of the plan.
-            let mut trial = plan.clone();
-            apply_layout_decision(
-                self.graph,
-                &mut trial,
-                op,
-                &decision,
-                self.cfg.free_input_layouts,
-            );
-            // Layout change invalidates the best loop point (the space is
-            // reconstructed), but not the cost model.
-            self.best_points.remove(&op);
-            let remaining = explore_budget
-                .saturating_sub(self.measurer.used - start)
-                .max(1);
-            let lat =
-                self.loop_tune_rounds(op, &trial, sched, self.cfg.rounds_per_layout, remaining);
-            self.journal_layout_visit(op, origin, &point, lat);
+            self.acct.layout_visit(origin, &point, lat);
             // A fully-faulted assessment yields no latency; skip reward
             // bookkeeping (inf/inf would poison the PPO baseline) and
             // move on from this layout.
@@ -1199,82 +913,47 @@ impl<'g> Tuner<'g> {
             if self.cfg.layout_search == LayoutSearch::Ppo && logp.is_finite() {
                 agent.store(obs, acts, logp, reward);
             }
-            let lsched = sched.get(op);
-            if best.as_ref().map(|b| lat < b.0).unwrap_or(true) {
-                best = Some((lat, point.clone(), lsched));
+            if best.as_ref().is_none_or(|b| lat < b.0) {
+                best = Some((lat, point.clone(), sched.get(op)));
             }
             finalists.push((lat, point.clone()));
             cur_point = point;
         }
         agent.update();
-        if self.cfg.telemetry.is_enabled() {
-            for (episode, s) in agent.take_update_log().into_iter().enumerate() {
-                self.cfg.telemetry.emit(Record::PpoUpdate(PpoUpdateRecord {
-                    op: op_label(self.graph, op),
-                    episode: episode as u64 + 1,
-                    transitions: s.transitions as u64,
-                    reward_mean: s.reward_mean as f64,
-                    policy_loss: s.policy_loss as f64,
-                    value_loss: s.value_loss as f64,
-                    entropy: s.entropy as f64,
-                }));
-            }
-        }
-
-        // Re-assess the finalists more deeply before committing: shallow
-        // per-layout assessments are noisy, and a mis-commit cannot be
-        // recovered in the loop-only stage. The re-assessment spends what
-        // is left of the op budget, never more.
+        self.acct.ppo_updates(agent.take_update_log());
         finalists.sort_by(|a, b| a.0.total_cmp(&b.0));
         finalists.dedup_by(|a, b| a.1 == b.1);
         finalists.truncate(3);
-        let finalist_cap = budget.saturating_sub(self.measurer.used - start);
-        let finalist_start = self.measurer.used;
-        for (_, point) in &finalists {
-            if self.measurer.used - finalist_start >= finalist_cap {
-                break;
-            }
-            let Ok(decision) = decode_layout_point(self.graph, &tmpl, point) else {
-                continue;
-            };
-            let mut trial = plan.clone();
-            apply_layout_decision(
-                self.graph,
-                &mut trial,
-                op,
-                &decision,
-                self.cfg.free_input_layouts,
-            );
-            self.best_points.remove(&op);
-            let rem = finalist_cap
-                .saturating_sub(self.measurer.used - finalist_start)
-                .max(1);
-            let lat = self.loop_tune_rounds(op, &trial, sched, 3, rem);
-            self.journal_layout_visit(op, provenance::FINALIST, point, lat);
-            if lat.is_finite() && best.as_ref().map(|b| lat < b.0).unwrap_or(true) {
-                best = Some((lat, point.clone(), sched.get(op)));
-            }
-        }
+        (best, finalists.into_iter().map(|(_, p)| p).collect())
+    }
 
-        // Commit the winning layout (and its schedule) for real.
-        if let Some((lat, point, lsched)) = best {
-            if let Ok(decision) = decode_layout_point(self.graph, &tmpl, &point) {
-                apply_layout_decision(self.graph, plan, op, &decision, self.cfg.free_input_layouts);
-                sched.set(op, lsched.clone());
-                self.best_points.remove(&op);
-                if self.cfg.journal.is_enabled() {
-                    self.cfg
-                        .journal
-                        .emit(JournalRecord::LayoutCommit(LayoutCommitRecord {
-                            op: op_label(self.graph, op),
-                            point: point.iter().map(|&x| x as u64).collect(),
-                            latency_s: finite(lat),
-                        }));
-                }
-                return Some((point, lsched));
-            }
-        }
-        None
+    /// Assesses layout `point` of `op`'s template on a trial copy of the
+    /// plan by `rounds` rounds of loop tuning within `cap` units; `None`
+    /// when the point does not decode.
+    #[allow(clippy::too_many_arguments)]
+    fn assess_layout(
+        &mut self,
+        op: OpId,
+        tmpl: &LayoutTemplate,
+        point: &Point,
+        plan: &LayoutPlan,
+        sched: &mut GraphSchedule,
+        rounds: usize,
+        cap: u64,
+    ) -> Option<f64> {
+        let decision = decode_layout_point(self.graph, tmpl, point).ok()?;
+        let mut trial = plan.clone();
+        apply_layout_decision(
+            self.graph,
+            &mut trial,
+            op,
+            &decision,
+            self.cfg.free_input_layouts,
+        );
+        // Layout change invalidates the best loop point (the space is
+        // reconstructed), but not the cost model.
+        self.best_points.remove(&op);
+        Some(self.loop_tune_rounds(op, &trial, sched, rounds, cap))
     }
 
     /// The measurement neighbourhood of an operator: the op itself, the
@@ -1283,8 +962,8 @@ impl<'g> Tuner<'g> {
     /// Measuring the whole neighbourhood charges a layout's externalities
     /// — a layout that makes the downstream pool or ReLU slow is charged
     /// for it during assessment, not discovered at the end.
-    fn neighborhood(&self, op: OpId) -> std::collections::HashSet<OpId> {
-        let mut roots = std::collections::HashSet::new();
+    fn neighborhood(&self, op: OpId) -> HashSet<OpId> {
+        let mut roots = HashSet::new();
         roots.insert(op);
         let node = self.graph.node(op);
         for &t in &node.inputs {
@@ -1308,7 +987,7 @@ impl<'g> Tuner<'g> {
                     continue;
                 }
                 roots.insert(c);
-                if cn.tag == alt_tensor::OpTag::Elementwise {
+                if cn.tag == OpTag::Elementwise {
                     queue.push(cn.output);
                 }
             }
@@ -1316,9 +995,9 @@ impl<'g> Tuner<'g> {
         roots
     }
 
-    /// Runs `rounds` of loop tuning for `op` under the given plan;
-    /// returns the best latency seen and updates `sched` with the best
-    /// schedule.
+    /// Runs up to `rounds` rounds of loop tuning for `op` under `plan`,
+    /// spending at most `budget_cap` units; returns the best latency seen
+    /// and leaves the best schedule in `sched`.
     fn loop_tune_rounds(
         &mut self,
         op: OpId,
@@ -1327,319 +1006,334 @@ impl<'g> Tuner<'g> {
         rounds: usize,
         budget_cap: u64,
     ) -> f64 {
-        let space =
-            crate::space::build_loop_space_ex(self.graph, plan, op, self.cfg.loop_levels >= 2);
-        let start = self.measurer.used;
-        self.measurer.ctx.op = op_label(self.graph, op);
+        let start = self.acct.used();
+        self.acct.enter_op(op_label(self.graph, op));
         // Attribute the incumbent baseline (measured before the round
         // counter advances below) to this op's own round count — not to
         // whatever round another op left behind, and, on a resumed run,
-        // not to zero: `state.rounds` is checkpointed, `ctx.round` is not.
-        self.measurer.ctx.round = self.loop_state.get(&op).map_or(0, |st| st.rounds);
-        let mut best = self
-            .best_points
-            .get(&op)
-            .cloned()
-            .map(|(p, l)| (l, p))
-            .unwrap_or((f64::INFINITY, vec![]));
-        if best.0.is_infinite() {
-            self.measurer.ctx.candidate = "incumbent".to_string();
-            self.measurer.ctx.predicted_cost = None;
-            // The incumbent schedule may predate a layout change, in which
-            // case its tilings no longer match the physical dims; reset it
-            // before measuring the baseline.
-            let node = self.graph.node(op);
-            let phys = plan.layout_of(self.graph, node.output).physical_shape();
-            let reduce_ext: Vec<i64> = node.compute.reduce_axes.iter().map(|a| a.extent).collect();
-            if !sched.get(op).validate(phys.dims(), &reduce_ext) {
-                sched.set(op, OpSchedule::default());
-            }
-            // Establish the incumbent schedule as the baseline so a round
-            // of worse candidates can never overwrite a good schedule.
-            let roots = self.neighborhood(op);
-            // On total failure the incumbent stays at infinity; any healthy
-            // candidate below will replace it.
-            let used_before = self.measurer.used;
-            let lat = {
-                let _timing = self.cfg.timing.phase("measure");
-                self.measure_with_retry(plan, sched, &roots, budget_cap)
-            };
-            self.journal_attempted(provenance::INCUMBENT, &[], None, lat, used_before);
-            if let Some(lat) = lat {
-                best.0 = lat;
+        // not to zero: `state.rounds` is checkpointed, the label is not.
+        self.acct
+            .set_round(self.loop_state.get(&op).map_or(0, |st| st.data.rounds));
+        let mut t = OpTuning {
+            op,
+            plan,
+            space: build_loop_space_ex(self.graph, plan, op, self.cfg.loop_levels >= 2),
+            roots: self.neighborhood(op),
+            best: self
+                .best_points
+                .get(&op)
+                .map_or((f64::INFINITY, vec![]), |b| (b.latency_s, b.point.clone())),
+            trained: false,
+        };
+        if t.best.0.is_infinite() {
+            // On total failure the incumbent stays at infinity; any
+            // healthy candidate below will replace it.
+            if let Some(lat) = self.measure_incumbent(&t, sched, budget_cap) {
+                t.best.0 = lat;
             }
         }
-        let roots = self.neighborhood(op);
-
         for _ in 0..rounds {
-            if self.measurer.used - start >= budget_cap {
+            let left = budget_cap.saturating_sub(self.acct.used() - start);
+            if left == 0 || !self.loop_round(&mut t, sched, left) {
                 break;
             }
-            {
-                let state = self.loop_state.entry(op).or_insert_with(LoopTuneState::new);
-                state.rounds += 1;
-                self.measurer.ctx.round = state.rounds;
-            }
-            // Candidate batch: random exploration plus walks around the
-            // incumbent.
-            let timing_gen = self.cfg.timing.phase("candidate_gen");
-            let mut candidates: Vec<(Point, &'static str)> = Vec::with_capacity(self.cfg.batch);
-            for b in 0..self.cfg.batch {
-                if best.1.is_empty() || b % 3 == 0 {
-                    candidates.push((space.random_point(&mut self.rng), provenance::RANDOM));
-                } else {
-                    candidates.push((space.neighbor(&best.1, &mut self.rng), provenance::NEIGHBOR));
-                }
-            }
-            // Drop quarantined candidates *after* generation so the RNG
-            // draw count — and thus every later draw — is unchanged by
-            // the filter (zero-fault runs stay bit-identical).
-            let op_tag = self.measurer.ctx.op.clone();
-            candidates.retain(|(p, origin)| {
-                if self.quarantine.contains(&format!("{op_tag}:{p:?}")) {
-                    self.journal_dropped(origin, p, outcome::QUARANTINED, None);
-                    false
-                } else {
-                    true
-                }
-            });
-            // Rank by the cost model (higher prediction = faster). When
-            // the model is untrained the ranking would be random anyway,
-            // so skip lowering the whole batch and take a random subset.
-            let state = self.loop_state.entry(op).or_insert_with(LoopTuneState::new);
-            let model_trained = state.model.is_trained();
-            // When the model is untrained the ranking would be random
-            // anyway, so only a random subset is lowered at all.
-            if !model_trained {
-                let keep = self.cfg.topk.max(1).min(candidates.len());
-                for (p, origin) in candidates.split_off(keep) {
-                    self.journal_dropped(origin, &p, outcome::SKIPPED, None);
-                }
-            }
-            drop(timing_gen);
-            // Lower every candidate and extract its features across the
-            // worker pool. This is the generation's pure, embarrassingly
-            // parallel work: lowering and featurization depend only on
-            // the (frozen) graph/plan/schedule, never on tuner state, so
-            // results are bit-identical for any `jobs` and are merged
-            // back in submission order.
-            // Requested workers, clamped to the machine (oversubscribing
-            // pure CPU-bound work only adds overhead; the clamp is
-            // invisible to the run transcript).
-            let jobs = crate::parallel::effective_jobs(self.cfg.jobs);
-            // `Err(None)` = failed to lower, `Err(Some(d))` = statically
-            // rejected by the verifier. Both are dropped before scoring
-            // and consume zero budget; only the verifier rejections are
-            // counted and traced (in the sequential merge below, so the
-            // transcript stays jobs-invariant). Set-engine counters ride
-            // along per candidate and are folded on the same sequential
-            // path (they are pure functions of the candidate, so the
-            // totals are jobs-invariant too).
-            type LoweredCandidate = Result<
-                (OpSchedule, Vec<f32>, alt_verify::VerifyStats),
-                (Option<alt_verify::Diagnostic>, alt_verify::VerifyStats),
-            >;
-            let timing_lower = self.cfg.timing.phase("lower");
-            let lowered: Vec<LoweredCandidate> = {
-                let graph = self.graph;
-                let sched_ref: &GraphSchedule = sched;
-                let single: HashSet<OpId> = [op].into_iter().collect();
-                let verify = self.cfg.verify;
-                // Workers report per-candidate lowering latency into the
-                // timing registry (thread-safe histograms), never the
-                // phase tree — the tree stays on the accounting thread.
-                let timing = self.cfg.timing.clone();
-                ordered_map(&candidates, jobs, |_, (p, _)| {
-                    let s = decode_loop_point(graph, plan, op, &space, p);
-                    let mut trial_sched = sched_ref.clone();
-                    trial_sched.set(op, s.clone());
-                    let t0 = std::time::Instant::now();
-                    let program = try_lower_filtered(graph, plan, &trial_sched, Some(&single));
-                    timing.observe_us("candidate.lower_us", t0.elapsed().as_micros() as u64);
-                    let program =
-                        program.map_err(|_| (None, alt_verify::VerifyStats::default()))?;
-                    let mut vstats = alt_verify::VerifyStats::default();
-                    if verify {
-                        // The verifier is pure and deterministic, so it can
-                        // run on workers; only the first (smallest-code)
-                        // finding is reported per candidate.
-                        let (diags, vs) =
-                            alt_verify::verify_program_with_stats(graph, plan, &program);
-                        timing.observe_us("verify.set_emptiness_us", vs.set_emptiness_us);
-                        vstats = vs;
-                        if let Some(d) = diags.into_iter().next() {
-                            return Err((Some(d), vstats));
-                        }
-                    }
-                    Ok((s, extract_features(&program), vstats))
-                })
+        }
+        let (lat, point) = t.best;
+        if !point.is_empty() {
+            let best = BestPointSnap {
+                op: op.0,
+                point,
+                latency_s: lat,
             };
-            drop(timing_lower);
-            // Rank by the cost model (higher prediction = faster); the
-            // GBT prediction itself stays on the tuning thread.
-            let timing_score = self.cfg.timing.phase("gbt_score");
-            let mut scored: Vec<(f64, Point, &'static str, OpSchedule, Vec<f32>)> = Vec::new();
-            for ((p, origin), lf) in candidates.into_iter().zip(lowered) {
-                let (s, feats) = match lf {
-                    Ok((s, feats, vs)) => {
-                        self.add_verify_stats(&vs);
-                        (s, feats)
-                    }
-                    Err((None, _)) => {
-                        self.journal_dropped(origin, &p, outcome::LOWER_FAILED, None);
-                        continue;
-                    }
-                    Err((Some(d), vs)) => {
-                        self.add_verify_stats(&vs);
-                        self.registry.add("verify.rejected", 1.0);
-                        if self.cfg.telemetry.is_enabled() {
-                            self.cfg.telemetry.emit(Record::VerifyRejection(
-                                VerifyRejectionRecord {
-                                    op: self.measurer.ctx.op.clone(),
-                                    stage: self.measurer.ctx.stage,
-                                    round: self.measurer.ctx.round,
-                                    candidate: format!("{p:?}"),
-                                    code: d.code.to_string(),
-                                    detail: format!("{}: {}", d.group, d.detail),
-                                },
-                            ));
-                        }
-                        self.journal_dropped(
-                            origin,
-                            &p,
-                            outcome::VERIFY_REJECTED,
-                            Some(d.code.to_string()),
-                        );
-                        continue;
-                    }
-                };
-                let score = if model_trained {
-                    self.loop_state[&op].model.predict(&feats) as f64
-                } else {
-                    0.0
-                };
-                scored.push((score, p, origin, s, feats));
+            self.best_points.insert(op, best);
+        }
+        lat
+    }
+
+    /// Measures the incumbent schedule as the baseline, so a round of
+    /// worse candidates can never overwrite a good schedule. The
+    /// incumbent may predate a layout change, in which case its tilings
+    /// no longer match the physical dims; it is reset first.
+    fn measure_incumbent(
+        &mut self,
+        t: &OpTuning,
+        sched: &mut GraphSchedule,
+        cap: u64,
+    ) -> Option<f64> {
+        let node = self.graph.node(t.op);
+        let phys = t.plan.layout_of(self.graph, node.output).physical_shape();
+        let reduce_ext: Vec<i64> = node.compute.reduce_axes.iter().map(|a| a.extent).collect();
+        if !sched.get(t.op).validate(phys.dims(), &reduce_ext) {
+            sched.set(t.op, OpSchedule::default());
+        }
+        let _timing = self.cfg.timing.phase("measure");
+        let cand = Candidate::INCUMBENT;
+        self.acct.measure(t.plan, sched, &t.roots, cand, None, cap)
+    }
+
+    /// One loop-tuning round within `left` units: generate a batch, lower
+    /// and verify it, rank it by the cost model, measure the predicted
+    /// top-k, retrain. Returns `false` when nothing could be measured.
+    fn loop_round(&mut self, t: &mut OpTuning, sched: &mut GraphSchedule, left: u64) -> bool {
+        let state = self
+            .loop_state
+            .entry(t.op)
+            .or_insert_with(|| LoopTuneState::new(t.op));
+        state.data.rounds += 1;
+        t.trained = state.model.is_trained();
+        self.acct.set_round(state.data.rounds);
+        let batch = self.generate_candidates(t);
+        // Requested workers, clamped to the machine (oversubscribing
+        // pure CPU-bound work only adds overhead; the clamp is invisible
+        // to the run transcript).
+        let jobs = crate::parallel::effective_jobs(self.cfg.jobs);
+        let lowered = self.lower_candidates(t, sched, &batch, jobs);
+        let mut scored = self.score_candidates(t, batch, lowered);
+        // Measure the predicted top-k. `k` respects the remaining budget
+        // strictly: when nothing is left, the round stops.
+        let k = self.cfg.topk.min(scored.len()).min(left as usize);
+        if k == 0 {
+            for c in &scored {
+                self.acct.drop_candidate(c.candidate(), Dropped::Skipped);
             }
-            if model_trained {
-                scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+            return false;
+        }
+        self.prewarm(t, sched, &scored[..k], jobs);
+        // Candidates ranked beyond the top-k are never measured; journal
+        // them so every generated candidate has exactly one terminal
+        // record.
+        for c in scored.split_off(k) {
+            self.acct.drop_candidate(c.candidate(), Dropped::Skipped);
+        }
+        let measured = self.measure_top_k(t, sched, scored, left);
+        let state = self.loop_state.get_mut(&t.op).expect("state exists");
+        self.acct.cost_model_round(measured, state.data.trained_on);
+        state.retrain();
+        true
+    }
+
+    /// Candidate batch: random exploration plus walks around the
+    /// incumbent. Quarantined candidates are dropped *after* generation
+    /// so the RNG draw count — and thus every later draw — is unchanged
+    /// by the filter (zero-fault runs stay bit-identical). An untrained
+    /// model would rank at random anyway, so then only a random top-k
+    /// subset goes on to be lowered.
+    fn generate_candidates(&mut self, t: &OpTuning) -> Batch {
+        let _timing = self.cfg.timing.phase("candidate_gen");
+        let incumbent = &t.best.1;
+        let mut batch = Vec::with_capacity(self.cfg.batch);
+        for b in 0..self.cfg.batch {
+            batch.push(if incumbent.is_empty() || b % 3 == 0 {
+                (t.space.random_point(self.acct.rng()), provenance::RANDOM)
+            } else {
+                (
+                    t.space.neighbor(incumbent, self.acct.rng()),
+                    provenance::NEIGHBOR,
+                )
+            });
+        }
+        let acct = &self.acct;
+        batch.retain(|(point, origin)| {
+            let banned = acct.is_quarantined(point);
+            if banned {
+                acct.drop_candidate(Candidate { origin, point }, Dropped::Quarantined);
             }
-            drop(timing_score);
-            // Measure the predicted top-k. `k` respects the remaining
-            // budget cap strictly: when nothing is left, the round stops.
-            let k = self
-                .cfg
-                .topk
-                .min(scored.len())
-                .min(budget_cap.saturating_sub(self.measurer.used - start) as usize);
-            if k == 0 {
-                for (_, p, origin, _, _) in &scored {
-                    self.journal_dropped(origin, p, outcome::SKIPPED, None);
+            !banned
+        });
+        if !t.trained {
+            let keep = self.cfg.topk.max(1).min(batch.len());
+            for (point, origin) in batch.split_off(keep) {
+                let cand = Candidate {
+                    origin,
+                    point: &point,
+                };
+                self.acct.drop_candidate(cand, Dropped::Skipped);
+            }
+        }
+        batch
+    }
+
+    /// Lowers every candidate and extracts its features across the worker
+    /// pool. This is the round's pure, embarrassingly parallel work:
+    /// lowering, verification and featurization depend only on the
+    /// (frozen) graph/plan/schedule, never on tuner state, so results are
+    /// bit-identical for any `jobs` and come back in submission order.
+    fn lower_candidates(
+        &self,
+        t: &OpTuning,
+        sched: &GraphSchedule,
+        batch: &Batch,
+        jobs: usize,
+    ) -> Vec<Lowered> {
+        let _timing = self.cfg.timing.phase("lower");
+        let (graph, op, plan) = (self.graph, t.op, t.plan);
+        let single: HashSet<OpId> = [op].into_iter().collect();
+        let verify = self.cfg.verify;
+        // Workers report per-candidate lowering latency into the timing
+        // registry (thread-safe histograms), never the phase tree — the
+        // tree stays on the accounting thread.
+        let timing = self.cfg.timing.clone();
+        ordered_map(batch, jobs, |_, (p, _)| {
+            let s = decode_loop_point(graph, plan, op, &t.space, p);
+            let mut trial_sched = sched.clone();
+            trial_sched.set(op, s.clone());
+            let t0 = std::time::Instant::now();
+            let program = try_lower_filtered(graph, plan, &trial_sched, Some(&single));
+            timing.observe_us("candidate.lower_us", t0.elapsed().as_micros() as u64);
+            let program = program.map_err(|_| (None, alt_verify::VerifyStats::default()))?;
+            let mut vstats = alt_verify::VerifyStats::default();
+            if verify {
+                // The verifier is pure and deterministic, so it can run
+                // on workers; only the first (smallest-code) finding is
+                // reported per candidate.
+                let (diags, vs) = alt_verify::verify_program_with_stats(graph, plan, &program);
+                timing.observe_us("verify.set_emptiness_us", vs.set_emptiness_us);
+                vstats = vs;
+                if let Some(d) = diags.into_iter().next() {
+                    return Err((Some(d), vstats));
                 }
-                break;
             }
-            // Prewarm the measurement cache for the k candidates about
-            // to be measured: workers lower each candidate *with its
-            // measurement neighborhood* (the exact program the loop
-            // below measures) and simulate it into the shared memo
-            // table. The sequential loop then consumes warm entries, so
-            // its transcript — RNG draws, faults, budget, telemetry,
-            // hit/miss counters — is byte-identical to an unwarmed run.
-            // Skipped at effective `jobs <= 1` (sequential request or a
-            // single-core machine), where inline prewarming would only
-            // duplicate the lowering work.
-            if jobs > 1 {
-                let _timing = self.cfg.timing.phase("prewarm");
-                let graph = self.graph;
-                let sim = self.measurer.simulator();
-                let cache = self.measurer.sim_cache();
-                let sched_ref: &GraphSchedule = sched;
-                ordered_map(&scored[..k], jobs, |_, (_, _, _, s, _)| {
-                    let mut trial_sched = sched_ref.clone();
-                    trial_sched.set(op, s.clone());
-                    if let Ok(program) = try_lower_filtered(graph, plan, &trial_sched, Some(&roots))
-                    {
-                        cache.prewarm(sim, &program);
-                    }
-                });
-            }
-            let mut measured: Vec<(f64, f64)> = Vec::with_capacity(k);
-            // Candidates ranked beyond the top-k are never measured;
-            // journal them so every generated candidate has exactly one
-            // terminal record.
-            for (_, p, origin, _, _) in scored.split_off(k) {
-                self.journal_dropped(origin, &p, outcome::SKIPPED, None);
-            }
-            let timing_measure = self.cfg.timing.phase("measure");
-            for (score, p, origin, s, feats) in scored {
-                let cap = budget_cap.saturating_sub(self.measurer.used - start);
-                if cap == 0 {
-                    // The cap cannot recover within a round, so every
-                    // remaining selected candidate is journaled as
-                    // skipped (`continue`, not `break`).
-                    self.journal_dropped(origin, &p, outcome::SKIPPED, None);
+            Ok((s, extract_features(&program), vstats))
+        })
+    }
+
+    /// Merges a lowered batch on the accounting thread, in submission
+    /// order: candidates that failed to lower or verify are dropped for
+    /// free, the rest are ranked by the cost model (higher prediction =
+    /// faster).
+    fn score_candidates(&self, t: &OpTuning, batch: Batch, lowered: Vec<Lowered>) -> Vec<Scored> {
+        let _timing = self.cfg.timing.phase("gbt_score");
+        let mut scored = Vec::new();
+        for ((point, origin), lowered) in batch.into_iter().zip(lowered) {
+            let cand = Candidate {
+                origin,
+                point: &point,
+            };
+            let (sched, feats) = match lowered {
+                Ok((s, feats, vs)) => {
+                    self.acct.add_verify_stats(&vs);
+                    (s, feats)
+                }
+                Err((None, _)) => {
+                    self.acct.drop_candidate(cand, Dropped::LowerFailed);
                     continue;
                 }
-                let mut trial_sched = sched.clone();
-                trial_sched.set(op, s.clone());
-                self.measurer.ctx.candidate = format!("{p:?}");
-                self.measurer.ctx.predicted_cost = if model_trained { Some(score) } else { None };
-                let predicted = if model_trained { Some(score) } else { None };
-                let used_before = self.measurer.used;
-                let outcome_lat = self.measure_with_retry(plan, &trial_sched, &roots, cap);
-                self.journal_attempted(origin, &p, predicted, outcome_lat, used_before);
-                let Some(lat) = outcome_lat else {
+                Err((Some(d), vs)) => {
+                    self.acct.add_verify_stats(&vs);
+                    self.acct.drop_candidate(cand, Dropped::VerifyRejected(&d));
                     continue;
-                };
-                if model_trained {
-                    // Quality on the model's own scale (-ln latency), so
-                    // the rank correlation below reads "+1 = perfect".
-                    measured.push((score, -lat.max(1e-12).ln()));
                 }
-                let state = self.loop_state.get_mut(&op).expect("state exists");
-                state.record(feats, lat);
-                if lat < best.0 {
-                    best = (lat, p);
-                    sched.set(op, s);
-                }
-            }
-            drop(timing_measure);
-            self.measurer.ctx.predicted_cost = None;
-            let state = self.loop_state.get_mut(&op).expect("state exists");
-            if self.cfg.telemetry.is_enabled() && measured.len() >= 2 {
-                let (pred, qual): (Vec<f64>, Vec<f64>) = measured.into_iter().unzip();
-                self.cfg.telemetry.emit(Record::CostModel(CostModelRecord {
-                    op: self.measurer.ctx.op.clone(),
-                    stage: self.measurer.ctx.stage,
-                    round: state.rounds,
-                    measured: pred.len() as u64,
-                    spearman: alt_telemetry::spearman(&pred, &qual),
-                    train_size: state.trained_on,
-                }));
-            }
-            state.retrain();
+            };
+            let score = if t.trained {
+                self.loop_state[&t.op].model.predict(&feats) as f64
+            } else {
+                0.0
+            };
+            scored.push(Scored {
+                score,
+                point,
+                origin,
+                sched,
+                feats,
+            });
         }
-        if !best.1.is_empty() {
-            self.best_points.insert(op, (best.1.clone(), best.0));
+        if t.trained {
+            scored.sort_by(|a, b| b.score.total_cmp(&a.score));
         }
-        best.0
+        scored
+    }
+
+    /// Prewarms the measurement cache for the candidates about to be
+    /// measured: workers lower each candidate *with its measurement
+    /// neighborhood* (the exact program the sequential loop measures)
+    /// and simulate it into the shared memo table. The sequential loop
+    /// then consumes warm entries, so its transcript — RNG draws, faults,
+    /// budget, telemetry, hit/miss counters — is byte-identical to an
+    /// unwarmed run. Skipped at effective `jobs <= 1`, where inline
+    /// prewarming would only duplicate the lowering work.
+    fn prewarm(&self, t: &OpTuning, sched: &GraphSchedule, top: &[Scored], jobs: usize) {
+        if jobs <= 1 {
+            return;
+        }
+        let _timing = self.cfg.timing.phase("prewarm");
+        let graph = self.graph;
+        let sim = self.acct.measurer().simulator();
+        let cache = self.acct.measurer().sim_cache();
+        ordered_map(top, jobs, |_, c| {
+            let mut trial_sched = sched.clone();
+            trial_sched.set(t.op, c.sched.clone());
+            if let Ok(program) = try_lower_filtered(graph, t.plan, &trial_sched, Some(&t.roots)) {
+                cache.prewarm(sim, &program);
+            }
+        });
+    }
+
+    /// Measures the selected candidates in rank order within `left`
+    /// units, adds each result to the cost model's dataset and keeps the
+    /// fastest schedule in `sched`. Returns a trained model's
+    /// `(prediction, -ln latency)` pairs.
+    fn measure_top_k(
+        &mut self,
+        t: &mut OpTuning,
+        sched: &mut GraphSchedule,
+        top: Vec<Scored>,
+        left: u64,
+    ) -> Vec<(f64, f64)> {
+        let _timing = self.cfg.timing.phase("measure");
+        let round_start = self.acct.used();
+        let mut measured = Vec::with_capacity(top.len());
+        for c in top {
+            let cap = left.saturating_sub(self.acct.used() - round_start);
+            if cap == 0 {
+                // The cap cannot recover within a round, so every
+                // remaining selected candidate is journaled as skipped
+                // (`continue`, not `break`).
+                self.acct.drop_candidate(c.candidate(), Dropped::Skipped);
+                continue;
+            }
+            let mut trial_sched = sched.clone();
+            trial_sched.set(t.op, c.sched.clone());
+            let predicted = t.trained.then_some(c.score);
+            let cand = c.candidate();
+            let Some(lat) = self
+                .acct
+                .measure(t.plan, &trial_sched, &t.roots, cand, predicted, cap)
+            else {
+                continue;
+            };
+            if t.trained {
+                // Quality on the model's own scale (-ln latency), so the
+                // rank correlation reads "+1 = perfect".
+                measured.push((c.score, -lat.max(1e-12).ln()));
+            }
+            let state = self.loop_state.get_mut(&t.op).expect("state exists");
+            state.record(c.feats, lat);
+            if lat < t.best.0 {
+                t.best = (lat, c.point);
+                sched.set(t.op, c.sched);
+            }
+        }
+        measured
+    }
+}
+
+/// Flat schedule snapshot of every graph op, indexed by op id.
+fn snapshot_sched(graph: &Graph, sched: &GraphSchedule) -> Vec<SchedSnap> {
+    (0..graph.nodes().len())
+        .map(|k| SchedSnap::of(&sched.get(OpId(k))))
+        .collect()
+}
+
+/// Installs a flat schedule snapshot.
+fn install_sched(sched: &mut GraphSchedule, snaps: &[SchedSnap]) {
+    for (k, snap) in snaps.iter().enumerate() {
+        sched.set(OpId(k), snap.to_sched());
     }
 }
 
 /// Human-readable operator tag used in trace records, e.g. `conv2d#3`.
 pub fn op_label(graph: &Graph, op: OpId) -> String {
     format!("{}#{}", graph.node(op).compute.name, op.0)
-}
-
-/// Tuning-task signature: operators with the same kind and tensor shapes
-/// share layouts and schedules.
-fn op_signature(graph: &Graph, op: OpId) -> String {
-    let node = graph.node(op);
-    let mut s = format!("{:?}|{}", node.tag, node.compute.name);
-    for &i in &node.inputs {
-        s.push_str(&format!("|{}", graph.tensor(i).shape));
-    }
-    s.push_str(&format!("|{}", graph.tensor(node.output).shape));
-    s
 }
 
 /// Index of the option closest to `target`.
@@ -1654,16 +1348,15 @@ fn closest_index(options: &[i64], target: i64) -> usize {
 
 /// Heuristic starting points inside a layout template: the degenerate
 /// channels-last point, the NeoCPU-style channel-tiled point, the
-/// NCHW-equivalent point, and a moderate spatial-tiled point.
-pub fn seed_points(graph: &Graph, tmpl: &crate::space::LayoutTemplate) -> Vec<Point> {
+/// NCHW-equivalent point, and a moderate spatial-tiled point. The
+/// graph argument is unused; it stays so existing callers keep compiling.
+pub fn seed_points(_graph: &Graph, tmpl: &LayoutTemplate) -> Vec<Point> {
     use crate::space::TemplateKind;
     let knobs = &tmpl.space.knobs;
     let full: Point = knobs
         .iter()
         .map(|k| k.options.len().saturating_sub(1))
         .collect();
-    let node = graph.node(tmpl.op);
-    let _ = node;
     let mut seeds = match &tmpl.kind {
         TemplateKind::Conv { d, .. } | TemplateKind::TransposedConv { d } => {
             // Channels-last: every spatial tile = full extent, ot = O,
@@ -1847,40 +1540,14 @@ pub fn apply_fixed_layout(
         if out_shape.ndim() < 3 {
             continue;
         }
-        let layout = match fixed {
-            FixedLayout::Identity => None,
-            FixedLayout::ChannelsLast => presets::channels_last(out_shape).ok(),
-            FixedLayout::ChannelTiled(t) => {
-                let c = out_shape.dim(1);
-                let t = largest_divisor_at_most(c, t);
-                if t > 1 {
-                    presets::channel_tiled(out_shape, t).ok()
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(l) = layout {
+        if let Some(l) = fixed_activation_layout(fixed, out_shape) {
             plan.set_layout(node.output, l);
         }
     }
     for op in graph.complex_ops() {
         let node = graph.node(op);
         let out_shape = graph.tensor(node.output).shape.clone();
-        let out_layout: Option<Layout> = match fixed {
-            FixedLayout::Identity => None,
-            FixedLayout::ChannelsLast => presets::channels_last(out_shape).ok(),
-            FixedLayout::ChannelTiled(t) => {
-                let c = graph.tensor(node.output).shape.dim(1);
-                let t = largest_divisor_at_most(c, t);
-                if t > 1 {
-                    presets::channel_tiled(out_shape, t).ok()
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(l) = out_layout {
+        if let Some(l) = fixed_activation_layout(fixed, out_shape) {
             plan.assign_output_layout(graph, op, l);
         }
         // Input activations follow the same family where it applies.
@@ -1893,21 +1560,7 @@ pub fn apply_fixed_layout(
                 | OpTag::Complex(alt_tensor::ComplexKind::TransposedConv3d)
         ) {
             let x = node.inputs[0];
-            let in_shape = graph.tensor(x).shape.clone();
-            let in_layout = match fixed {
-                FixedLayout::Identity => None,
-                FixedLayout::ChannelsLast => presets::channels_last(in_shape).ok(),
-                FixedLayout::ChannelTiled(t) => {
-                    let c = graph.tensor(x).shape.dim(1);
-                    let t = largest_divisor_at_most(c, t);
-                    if t > 1 {
-                        presets::channel_tiled(in_shape, t).ok()
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(l) = in_layout {
+            if let Some(l) = fixed_activation_layout(fixed, graph.tensor(x).shape.clone()) {
                 let info = graph.tensor(x);
                 if free_inputs && info.producer.is_none() {
                     plan.set_layout(x, l);
@@ -1943,6 +1596,23 @@ pub fn apply_fixed_layout(
     }
 }
 
+/// The fixed family's layout of an activation tensor (channels at
+/// dimension 1), or `None` where the family keeps it logical.
+fn fixed_activation_layout(fixed: FixedLayout, shape: Shape) -> Option<Layout> {
+    match fixed {
+        FixedLayout::Identity => None,
+        FixedLayout::ChannelsLast => presets::channels_last(shape).ok(),
+        FixedLayout::ChannelTiled(t) => {
+            let t = largest_divisor_at_most(shape.dim(1), t);
+            if t > 1 {
+                presets::channel_tiled(shape, t).ok()
+            } else {
+                None
+            }
+        }
+    }
+}
+
 /// Largest divisor of `n` that is `<= cap`.
 pub fn largest_divisor_at_most(n: i64, cap: i64) -> i64 {
     crate::space::divisors(n)
@@ -1954,7 +1624,9 @@ pub fn largest_divisor_at_most(n: i64, cap: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::Measurer;
     use alt_sim::intel_cpu;
+    use alt_telemetry::Record;
     use alt_tensor::ops::{self, ConvCfg};
     use alt_tensor::Shape;
 
@@ -2348,6 +2020,45 @@ mod tests {
             "wrong graph must be rejected"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint does not match this run")]
+    fn resume_rejects_a_changed_budget() {
+        // A run halted under budgets (16, 16) must not silently continue
+        // under a larger loop budget: it would finish at a total neither
+        // configuration spends and publish under the wrong task.
+        let g = small_conv_graph();
+        let base = TuneConfig {
+            joint_budget: 16,
+            loop_budget: 16,
+            batch: 8,
+            topk: 2,
+            free_input_layouts: true,
+            seed: 33,
+            ..TuneConfig::default()
+        };
+        let path = tmp_ck("budget");
+        tune_graph(
+            &g,
+            intel_cpu(),
+            TuneConfig {
+                checkpoint_path: Some(path.clone()),
+                halt_after: Some(16),
+                ..base.clone()
+            },
+        );
+        let ck = TunerCheckpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        tune_graph(
+            &g,
+            intel_cpu(),
+            TuneConfig {
+                resume: Some(ck),
+                loop_budget: 40,
+                ..base
+            },
+        );
     }
 
     #[test]

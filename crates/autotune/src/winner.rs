@@ -69,7 +69,7 @@ pub fn task_fingerprint(graph: &Graph, profile_fp: u64, cfg: &TuneConfig) -> Opt
     h.u64(cfg.loop_budget);
     h.u64(cfg.batch as u64);
     h.u64(cfg.topk as u64);
-    h.u64(cfg.rounds_per_layout as u64);
+    h.u64(crate::tuner::ROUNDS_PER_LAYOUT as u64);
     h.u64(cfg.levels as u64);
     h.u64(cfg.loop_levels as u64);
     h.tag(match cfg.mode {
@@ -104,8 +104,8 @@ pub fn task_fingerprint(graph: &Graph, profile_fp: u64, cfg: &TuneConfig) -> Opt
             h.f64(fc.noise_max);
         }
     }
-    h.u64(cfg.max_retries);
-    h.u64(cfg.quarantine_threshold);
+    h.u64(crate::accounting::MAX_RETRIES);
+    h.u64(crate::accounting::QUARANTINE_THRESHOLD);
     h.tag(cfg.verify as u8);
     h.tag(cfg.advanced_layouts as u8);
     Some(h.finish())

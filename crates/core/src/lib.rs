@@ -224,14 +224,15 @@ impl Compiler {
     /// # Panics
     ///
     /// Panics when `options.resume` names a checkpoint that cannot be
-    /// read or that does not match this graph and seed.
+    /// read or that does not match this graph, seed and budgets.
     pub fn compile(&self, graph: &Graph) -> CompiledGraph {
         let t0 = std::time::Instant::now();
         let o = &self.options;
         let resume = o.resume.as_ref().map(|path| {
             let ck = TunerCheckpoint::load(path).expect("loading checkpoint");
             ck.validate(graph, o.seed)
-                .expect("checkpoint does not match this graph/seed");
+                .and_then(|()| ck.validate_budgets(o.joint_budget, o.loop_budget))
+                .expect("checkpoint does not match this graph/seed/budgets");
             ck
         });
         // Observability plumbing must never kill a compile: a journal
@@ -654,6 +655,43 @@ mod tests {
         let want = run_graph(&g, &bindings);
         let diff = want[out.0].max_abs_diff(&got[&out]);
         assert!(diff < 1e-3, "diff {diff}");
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint does not match this graph/seed/budgets")]
+    fn resume_rejects_a_changed_budget() {
+        let (g, _) = sample_graph();
+        let path =
+            std::env::temp_dir().join(format!("alt-core-budget-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 path").to_string();
+        let options = CompileOptions {
+            joint_budget: 8,
+            loop_budget: 8,
+            free_input_layouts: true,
+            seed: 3,
+            ..CompileOptions::default()
+        };
+        Compiler::new(intel_cpu())
+            .with_options(CompileOptions {
+                checkpoint: Some(path.clone()),
+                checkpoint_every: 4,
+                ..options.clone()
+            })
+            .compile(&g);
+        // Resuming that run's checkpoint under a larger loop budget must
+        // fail loudly instead of finishing at neither run's total.
+        let resumed = CompileOptions {
+            resume: Some(path.clone()),
+            loop_budget: 24,
+            ..options
+        };
+        let outcome = std::panic::catch_unwind(|| {
+            Compiler::new(intel_cpu()).with_options(resumed).compile(&g);
+        });
+        std::fs::remove_file(&path).ok();
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     #[test]

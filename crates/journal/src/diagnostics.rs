@@ -348,28 +348,6 @@ fn compute_convergence(candidates: &[&CandidateRecord]) -> Convergence {
     }
 }
 
-/// Average 1-based ranks with ties sharing their mean rank (mirrors
-/// `alt_telemetry::stats::ranks`, which is private there).
-fn mid_ranks(xs: &[f64]) -> Vec<f64> {
-    let n = xs.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        let rank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = rank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 fn compute_calibration(candidates: &[&CandidateRecord]) -> Calibration {
     // A calibration pair needs both a prediction and a measurement.
     let paired: Vec<&CandidateRecord> = candidates
@@ -405,9 +383,9 @@ fn compute_calibration(candidates: &[&CandidateRecord]) -> Calibration {
     }
 
     // Rank-vs-rank calibration table: quintiles of predicted rank.
-    let pred_ranks = mid_ranks(&pred);
+    let pred_ranks = alt_telemetry::ranks(&pred);
     let lat: Vec<f64> = paired.iter().filter_map(|c| c.latency_s).collect();
-    let meas_ranks = mid_ranks(&lat);
+    let meas_ranks = alt_telemetry::ranks(&lat);
     let n = paired.len();
     let mut table = Vec::new();
     if n >= 5 {

@@ -79,7 +79,7 @@ pub struct JournalHeader {
 }
 
 /// One candidate the tuner touched, with its terminal outcome.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CandidateRecord {
     /// Operator tag, e.g. `conv2d#0`.
     pub op: String,
@@ -114,7 +114,7 @@ pub struct CandidateRecord {
 }
 
 /// One layout point assessed during the joint stage (each visit runs
-/// `rounds_per_layout` loop rounds whose candidates appear as
+/// `ROUNDS_PER_LAYOUT` loop rounds whose candidates appear as
 /// [`CandidateRecord`]s with stage `"joint"`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LayoutVisitRecord {

@@ -41,7 +41,7 @@ pub use record::{
     SpanRecord, Stage, TimingRecord, VerifyRejectionRecord,
 };
 pub use report::{fmt_latency, read_jsonl, render_report};
-pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, Telemetry};
+pub use sink::{parse_jsonl, JsonlSink, MemorySink, NoopSink, Sink, Telemetry};
 pub use span::{current_depth, now_us, Span};
-pub use stats::spearman;
+pub use stats::{ranks, spearman};
 pub use timing::{Clock, ManualClock, MonotonicClock, PhaseGuard, PhaseNode, Timing};

@@ -8,7 +8,6 @@
 //! simulator counters.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use crate::record::{Record, Stage};
@@ -18,22 +17,9 @@ use crate::record::{Record, Stage};
 /// A line that fails to parse aborts with `InvalidData` naming the line,
 /// so schema drift is caught loudly rather than silently skipped.
 pub fn read_jsonl(path: impl AsRef<Path>) -> std::io::Result<Vec<Record>> {
-    let file = std::fs::File::open(path)?;
-    let mut records = Vec::new();
-    for (idx, line) in BufReader::new(file).lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = serde_json::from_str(&line).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("trace line {}: {}", idx + 1, e.0),
-            )
-        })?;
-        records.push(record);
-    }
-    Ok(records)
+    let text = std::fs::read_to_string(path)?;
+    crate::sink::parse_jsonl(&text, "trace")
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Formats seconds with an adaptive unit.

@@ -1,7 +1,7 @@
 //! Small statistics helpers used when producing trace records.
 
 /// Average ranks (1-based) with ties sharing their mean rank.
-fn ranks(xs: &[f64]) -> Vec<f64> {
+pub fn ranks(xs: &[f64]) -> Vec<f64> {
     let n = xs.len();
     let mut idx: Vec<usize> = (0..n).collect();
     idx.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
