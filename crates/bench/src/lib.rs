@@ -527,6 +527,10 @@ impl BenchReport {
 #[derive(Default)]
 pub struct JournalStats {
     spearman: Vec<f64>,
+    /// (predicted, measured) pairs over all runs.
+    pairs: u64,
+    /// Runs with fewer than two pairs, which have no Spearman.
+    insufficient: u64,
     p95_frac: Vec<f64>,
     lines: Vec<String>,
 }
@@ -544,8 +548,11 @@ impl JournalStats {
         let insp = alt_journal::inspect(&records);
         // Rank correlation needs at least two (predicted, measured)
         // pairs to mean anything; small-budget runs may have none.
+        self.pairs += insp.calibration.pairs;
         if insp.calibration.pairs >= 2 {
             self.spearman.push(insp.calibration.final_spearman);
+        } else {
+            self.insufficient += 1;
         }
         if budget > 0 {
             if let Some(b) = insp.convergence.budget_to_p95_of_final {
@@ -560,8 +567,17 @@ impl JournalStats {
     /// fraction of the budget needed to reach 95% of final quality —
     /// and writes the collected journals to
     /// `$ALT_BENCH_JSON/<bench>_<platform>.journal.jsonl` when set.
+    ///
+    /// `journal_pairs` (all runs' pairs) and `journal_insufficient` (runs
+    /// with fewer than two pairs) are always recorded, so a missing
+    /// `journal_final_spearman` is explained by the same entry.
     pub fn finish(self, report: &mut BenchReport, bench: &str, platform: &str) {
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        report.note_metric(format!("{platform}/journal_pairs"), self.pairs as f64);
+        report.note_metric(
+            format!("{platform}/journal_insufficient"),
+            self.insufficient as f64,
+        );
         if !self.spearman.is_empty() {
             report.note_metric(
                 format!("{platform}/journal_final_spearman"),
@@ -866,8 +882,14 @@ mod tests {
         }
         let mut stats = JournalStats::new();
         stats.note_run(&sink, 4);
+        // A run that measured nothing has no Spearman; it is counted.
+        let (_, empty) = alt_journal::Journal::memory();
+        stats.note_run(&empty, 4);
         let mut report = BenchReport::new("journal-stats-test");
         stats.finish(&mut report, "figtest", "intel-cpu");
+        let mut only_empty = JournalStats::new();
+        only_empty.note_run(&empty, 4);
+        only_empty.finish(&mut report, "figtest", "arm-cpu");
         let dir = std::env::temp_dir().join(format!("alt-bench-jstats-{}", std::process::id()));
         report.append_trajectory(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join("BENCH_journal-stats-test.json")).unwrap();
@@ -881,6 +903,16 @@ mod tests {
             .as_f64()
             .unwrap();
         assert!((frac - 0.5).abs() < 1e-12, "{frac}");
+        assert_eq!(metrics["intel-cpu/journal_pairs"].as_f64(), Some(4.0));
+        assert_eq!(
+            metrics["intel-cpu/journal_insufficient"].as_f64(),
+            Some(1.0)
+        );
+        // Without a single sufficient run the Spearman key is absent, and
+        // the counts say why.
+        assert!(metrics.get("arm-cpu/journal_final_spearman").is_none());
+        assert_eq!(metrics["arm-cpu/journal_pairs"].as_f64(), Some(0.0));
+        assert_eq!(metrics["arm-cpu/journal_insufficient"].as_f64(), Some(1.0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

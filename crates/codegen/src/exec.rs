@@ -40,6 +40,13 @@ pub struct NativeRunStats {
     pub group_us: Vec<(String, f64)>,
     /// End-to-end kernel time in microseconds (excludes pack/unpack).
     pub total_us: f64,
+    /// Wall-clock of packing the logical bindings into the physical
+    /// buffer table, in microseconds ([`NativeKernel::run`]; 0 after
+    /// [`NativeKernel::execute`] alone).
+    pub pack_us: f64,
+    /// Wall-clock of unpacking the physical buffers back to logical
+    /// tensors, in microseconds (as `pack_us`).
+    pub unpack_us: f64,
     /// Worker thread cap the run used.
     pub threads: usize,
 }
@@ -335,13 +342,16 @@ impl NativeKernel {
         NativeRunStats {
             group_us,
             total_us: t_all.elapsed().as_secs_f64() * 1e6,
+            pack_us: 0.0,
+            unpack_us: 0.0,
             threads: runner.threads,
         }
     }
 
     /// Packs logical bindings, executes natively and unpacks logical
     /// results — the drop-in counterpart of
-    /// [`run_program`](alt_loopir::run_program), plus wall-clock stats.
+    /// [`run_program`](alt_loopir::run_program), plus wall-clock stats
+    /// that include the pack and unpack times.
     pub fn run(
         &self,
         program: &Program,
@@ -350,8 +360,14 @@ impl NativeKernel {
         bindings: &HashMap<TensorId, NdBuf>,
         threads: usize,
     ) -> (HashMap<TensorId, NdBuf>, NativeRunStats) {
+        let t = Instant::now();
         let mut bufs = pack_buffers(program, graph, plan, bindings);
-        let stats = self.execute(&mut bufs, threads);
-        (unpack_buffers(program, graph, plan, &bufs), stats)
+        let pack_us = t.elapsed().as_secs_f64() * 1e6;
+        let mut stats = self.execute(&mut bufs, threads);
+        let t = Instant::now();
+        let out = unpack_buffers(program, graph, plan, &bufs);
+        stats.pack_us = pack_us;
+        stats.unpack_us = t.elapsed().as_secs_f64() * 1e6;
+        (out, stats)
     }
 }

@@ -432,6 +432,8 @@ fn run_run(rest: &[String]) -> i32 {
         }
         if let Some((_, stats, table)) = &native_res {
             obj.insert("native_us".into(), serde_json::json!(stats.total_us));
+            obj.insert("pack_us".into(), serde_json::json!(stats.pack_us));
+            obj.insert("unpack_us".into(), serde_json::json!(stats.unpack_us));
             obj.insert("native_calibration".into(), table.to_json());
             if let Some(us) = interp_us {
                 obj.insert(
@@ -460,8 +462,8 @@ fn run_run(rest: &[String]) -> i32 {
         }
         if let Some((_, stats, table)) = &native_res {
             println!(
-                "native: {:.1} us ({} threads)",
-                stats.total_us, stats.threads
+                "native: {:.1} us ({} threads); pack {:.1} us, unpack {:.1} us",
+                stats.total_us, stats.threads, stats.pack_us, stats.unpack_us
             );
             if let Some(us) = interp_us {
                 println!(

@@ -450,10 +450,11 @@ impl CompiledGraph {
     }
 
     /// [`CompiledGraph::run_native`] with wall-clock accounting: returns
-    /// per-group and end-to-end native times, and — when `timing` is
-    /// enabled — records a `native_exec` phase plus `native.group_us` /
-    /// `native.run_us` wall histograms on the PR 8 timing layer (its own
-    /// stream; never the deterministic trace).
+    /// per-group and end-to-end native times plus the layout conversion
+    /// times, and — when `timing` is enabled — records a `native_exec`
+    /// phase plus `native.group_us`, `native.run_us`, `native.pack_us`
+    /// and `native.unpack_us` wall histograms on the pipeline timing layer
+    /// (its own stream; never the deterministic trace).
     pub fn run_native_timed(
         &self,
         bindings: &HashMap<TensorId, NdBuf>,
@@ -472,6 +473,8 @@ impl CompiledGraph {
             timing.observe_us("native.group_us", *us as u64);
         }
         timing.observe_us("native.run_us", stats.total_us as u64);
+        timing.observe_us("native.pack_us", stats.pack_us as u64);
+        timing.observe_us("native.unpack_us", stats.unpack_us as u64);
         (out, stats)
     }
 
@@ -655,6 +658,25 @@ mod tests {
         let want = run_graph(&g, &bindings);
         let diff = want[out.0].max_abs_diff(&got[&out]);
         assert!(diff < 1e-3, "diff {diff}");
+    }
+
+    #[test]
+    fn native_run_reports_layout_conversion_time() {
+        let (g, out) = sample_graph();
+        let compiled = Compiler::new(intel_cpu()).compile_unoptimized(&g);
+        let bindings = random_bindings(&g, 0);
+        let timing = Timing::enabled();
+        let (got, stats) = compiled.run_native_timed(&bindings, &timing);
+        assert_eq!(
+            got[&out].data(),
+            compiled.run(&bindings)[&out].data(),
+            "native matches the interpreter"
+        );
+        assert!(stats.pack_us > 0.0 && stats.unpack_us > 0.0, "{stats:?}");
+        let reg = timing.registry().expect("enabled");
+        for name in ["native.run_us", "native.pack_us", "native.unpack_us"] {
+            assert_eq!(reg.histogram(name).map(|h| h.count), Some(1), "{name}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ pub mod presets;
 pub mod primitives;
 pub mod propagation;
 pub mod relation;
+mod walk;
 
 pub use primitives::{Layout, LayoutError, LayoutPrim, VarExtents};
 pub use propagation::{AssignOutcome, Conversion, LayoutPlan, PropagationMode};

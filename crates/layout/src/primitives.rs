@@ -10,9 +10,13 @@
 //!    indices (how the producer of the tensor reconstructs its loop nest,
 //!    paper §6).
 //!
-//! Concrete (integer) index maps are derived from the symbolic rewrites by
-//! evaluating them on constant expressions, so there is a single source of
-//! truth for the transformation semantics.
+//! Concrete (integer) index maps are derived from the symbolic rewrites,
+//! so there is a single source of truth for the transformation semantics:
+//! per element by evaluating them on constant expressions
+//! ([`Layout::logical_to_physical`], [`Layout::physical_to_logical`]), and
+//! for whole buffers by compiling them once over loop variables into an
+//! index walk ([`Layout::pack`], [`Layout::unpack`] and the `store_at`
+//! guest copies).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,6 +24,8 @@ use std::fmt;
 use alt_tensor::expr::Expr;
 use alt_tensor::op::Cond;
 use alt_tensor::{NdBuf, Shape};
+
+use crate::walk::IndexWalk;
 
 /// Errors from invalid primitive applications.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,6 +128,15 @@ pub enum LayoutError {
     /// The internal shape chain is corrupt (empty); indicates a layout
     /// constructed or mutated through unsafe means.
     CorruptChain,
+    /// A buffer conversion mapped an index outside the buffer it reads or
+    /// writes (a `store_at` guest larger than its host slot, or a corrupt
+    /// layout).
+    IndexOutOfBounds {
+        /// The conversion that failed.
+        what: &'static str,
+        /// The index being converted, in the walked buffer.
+        index: Vec<i64>,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -186,6 +201,9 @@ impl fmt::Display for LayoutError {
                 write!(f, "{what}: non-constant index {expr}")
             }
             LayoutError::CorruptChain => write!(f, "layout shape chain is empty"),
+            LayoutError::IndexOutOfBounds { what, index } => {
+                write!(f, "{what}: index {index:?} maps outside the buffer")
+            }
         }
     }
 }
@@ -863,6 +881,8 @@ impl Layout {
     ///
     /// Physical slots with no logical element (padding, overhang) are
     /// zero-filled; overlapped slots duplicate their logical element.
+    /// Runs one compiled index walk over the physical space; agrees bit
+    /// for bit with [`Layout::physical_to_logical`] per slot.
     pub fn pack(&self, logical: &NdBuf) -> Result<NdBuf, LayoutError> {
         if logical.shape() != &self.logical {
             return Err(LayoutError::ShapeMismatch {
@@ -871,18 +891,16 @@ impl Layout {
                 got: logical.shape().dims().to_vec(),
             });
         }
-        let phys = self.try_physical_shape()?;
-        let mut out = NdBuf::zeros(phys.clone());
-        for pidx in phys.iter_indices() {
-            if let Some(lidx) = self.physical_to_logical(&pidx)? {
-                out.set(&pidx, logical.get(&lidx));
-            }
-        }
+        let walk = IndexWalk::pack(self)?;
+        let mut out = NdBuf::zeros(self.try_physical_shape()?);
+        let (src, dst) = (logical.data(), out.data_mut());
+        walk.for_each(|slot, elem| dst[slot] = src[elem])?;
         Ok(out)
     }
 
     /// Unpacks a physical buffer back to logical order using canonical
-    /// slots.
+    /// slots (those of [`Layout::logical_to_physical`]), through one
+    /// compiled index walk over the logical space.
     pub fn unpack(&self, physical: &NdBuf) -> Result<NdBuf, LayoutError> {
         let phys = self.try_physical_shape()?;
         if physical.shape() != &phys {
@@ -892,12 +910,70 @@ impl Layout {
                 got: physical.shape().dims().to_vec(),
             });
         }
+        let walk = IndexWalk::access("unpack", self, self.logical.dims(), None)?;
         let mut out = NdBuf::zeros(self.logical.clone());
-        for lidx in self.logical.clone().iter_indices() {
-            let pidx = self.logical_to_physical(&lidx)?;
-            out.set(&lidx, physical.get(&pidx));
-        }
+        let (src, dst) = (physical.data(), out.data_mut());
+        walk.for_each(|elem, slot| dst[elem] = src[slot])?;
         Ok(out)
+    }
+
+    /// Writes a `store_at` guest into `host`, a buffer in this (host)
+    /// layout, at the slot reserved along logical dimension `dim`: guest
+    /// index `g` lands where the host's logical index `g` with
+    /// `size(dim)` inserted at `dim` does.
+    pub fn embed_guest(
+        &self,
+        dim: usize,
+        guest: &NdBuf,
+        host: &mut NdBuf,
+    ) -> Result<(), LayoutError> {
+        let walk = self.guest_walk("embed_guest", dim, guest.shape(), host.shape())?;
+        let (src, dst) = (guest.data(), host.data_mut());
+        walk.for_each(|elem, slot| dst[slot] = src[elem])
+    }
+
+    /// Reads a `store_at` guest of shape `guest` back out of `host`; the
+    /// inverse of [`Layout::embed_guest`].
+    pub fn extract_guest(
+        &self,
+        dim: usize,
+        guest: &Shape,
+        host: &NdBuf,
+    ) -> Result<NdBuf, LayoutError> {
+        let walk = self.guest_walk("extract_guest", dim, guest, host.shape())?;
+        let mut out = NdBuf::zeros(guest.clone());
+        let (src, dst) = (host.data(), out.data_mut());
+        walk.for_each(|elem, slot| dst[elem] = src[slot])?;
+        Ok(out)
+    }
+
+    fn guest_walk(
+        &self,
+        what: &'static str,
+        dim: usize,
+        guest: &Shape,
+        host: &Shape,
+    ) -> Result<IndexWalk, LayoutError> {
+        let phys = self.try_physical_shape()?;
+        if host != &phys {
+            return Err(LayoutError::ShapeMismatch {
+                what,
+                expected: phys.dims().to_vec(),
+                got: host.dims().to_vec(),
+            });
+        }
+        let ndim = self.logical.ndim();
+        if guest.ndim() + 1 != ndim {
+            return Err(LayoutError::RankMismatch {
+                what,
+                expected: ndim.saturating_sub(1),
+                got: guest.ndim(),
+            });
+        }
+        if dim >= ndim {
+            return Err(LayoutError::BadDim { dim, ndim });
+        }
+        IndexWalk::access(what, self, guest.dims(), Some((dim, self.logical.dim(dim))))
     }
 }
 
@@ -1434,6 +1510,49 @@ mod tests {
         assert_eq!(l.physical_shape().dims(), &[4, 4]);
         assert_eq!(l.physical_to_logical(&[3, 0]).unwrap(), None);
         assert_eq!(l.logical_to_physical(&[2, 1]).unwrap(), vec![2, 1]);
+    }
+
+    #[test]
+    fn store_at_guest_round_trips_through_the_reserved_slot() {
+        // Host [3, 4] reserves row 3; the guest [4] lives there.
+        let l = Layout::identity(Shape::new([3, 4]))
+            .with(LayoutPrim::StoreAtHost { dim: 0 })
+            .unwrap();
+        let host_data = NdBuf::from_fn(Shape::new([3, 4]), |i| i as f32 + 1.0);
+        let mut host = l.pack(&host_data).unwrap();
+        let guest = NdBuf::from_fn(Shape::new([4]), |i| -(i as f32) - 1.0);
+        l.embed_guest(0, &guest, &mut host).unwrap();
+        assert_eq!(&host.data()[..12], host_data.data());
+        assert_eq!(&host.data()[12..], guest.data());
+        let back = l.extract_guest(0, guest.shape(), &host).unwrap();
+        assert_eq!(back.data(), guest.data());
+        assert_eq!(l.unpack(&host).unwrap().data(), host_data.data());
+    }
+
+    #[test]
+    fn store_at_guest_errors_are_typed() {
+        let l = Layout::identity(Shape::new([3, 4]))
+            .with(LayoutPrim::StoreAtHost { dim: 0 })
+            .unwrap();
+        let mut host = NdBuf::zeros(l.physical_shape());
+        // A guest wider than the slot maps past the host's last column.
+        let wide = NdBuf::zeros(Shape::new([5]));
+        assert_eq!(
+            l.embed_guest(0, &wide, &mut host).unwrap_err(),
+            LayoutError::IndexOutOfBounds {
+                what: "embed_guest",
+                index: vec![4],
+            }
+        );
+        assert!(matches!(
+            l.extract_guest(0, &Shape::new([2, 2]), &host).unwrap_err(),
+            LayoutError::RankMismatch { .. }
+        ));
+        assert!(matches!(
+            l.extract_guest(0, &Shape::new([4]), &NdBuf::zeros(Shape::new([3, 4])))
+                .unwrap_err(),
+            LayoutError::ShapeMismatch { .. }
+        ));
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn random_layout(shape: Shape, seed: u64, n_prims: usize) -> Layout {
     for _ in 0..n_prims {
         let dims = layout.physical_shape();
         let nd = dims.ndim();
-        match next() % 5 {
+        match next() % 9 {
             0 => {
                 // Split a dimension with size > 1.
                 let candidates: Vec<usize> = (0..nd).filter(|&k| dims.dim(k) > 1).collect();
@@ -82,7 +82,7 @@ fn random_layout(shape: Shape, seed: u64, n_prims: usize) -> Layout {
                     });
                 }
             }
-            _ => {
+            4 => {
                 let k = next() % nd;
                 let _ = layout.apply(LayoutPrim::Pad {
                     dim: k,
@@ -90,9 +90,90 @@ fn random_layout(shape: Shape, seed: u64, n_prims: usize) -> Layout {
                     after: (next() % 3) as i64,
                 });
             }
+            5 => {
+                let _ = layout.apply(LayoutPrim::StoreAtHost { dim: next() % nd });
+            }
+            6 => {
+                // Swizzle a dimension with an even size by up to its
+                // power-of-two factor; odd sizes are drawn and rejected.
+                let dim = next() % nd;
+                let src = next() % nd;
+                let twos = dims.dim(dim).trailing_zeros().max(1);
+                let bits = 1 + (next() as u32) % twos;
+                let _ = layout.apply(LayoutPrim::Swizzle { dim, src, bits });
+            }
+            7 => {
+                // Morton needs two adjacent equal power-of-two dims:
+                // prefer such a pair when one exists.
+                let pairs: Vec<usize> = (0..nd.saturating_sub(1))
+                    .filter(|&k| dims.dim(k) == dims.dim(k + 1) && dims.dim(k).count_ones() == 1)
+                    .collect();
+                let dim = match pairs.get(next() % pairs.len().max(1)) {
+                    Some(&k) => k,
+                    None => next() % nd,
+                };
+                let _ = layout.apply(LayoutPrim::Morton { dim });
+            }
+            _ => {
+                let dim = next() % nd;
+                let src = next() % nd;
+                let block = 1 + (next() as i64) % dims.dim(dim);
+                let _ = layout.apply(LayoutPrim::BlockDiag { dim, src, block });
+            }
         }
     }
     layout
+}
+
+/// Per-element pack: every physical slot through `physical_to_logical`,
+/// zero where it holds no logical element.
+fn reference_pack(layout: &Layout, logical: &NdBuf) -> NdBuf {
+    let phys = layout.physical_shape();
+    let mut out = NdBuf::zeros(phys.clone());
+    for pidx in phys.iter_indices() {
+        if let Some(lidx) = layout.physical_to_logical(&pidx).unwrap() {
+            out.set(&pidx, logical.get(&lidx));
+        }
+    }
+    out
+}
+
+/// Per-element unpack: every logical index from its canonical slot.
+fn reference_unpack(layout: &Layout, physical: &NdBuf) -> NdBuf {
+    let shape = layout.logical_shape().clone();
+    let mut out = NdBuf::zeros(shape.clone());
+    for lidx in shape.iter_indices() {
+        out.set(
+            &lidx,
+            physical.get(&layout.logical_to_physical(&lidx).unwrap()),
+        );
+    }
+    out
+}
+
+fn bits(b: &NdBuf) -> Vec<u32> {
+    b.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The generator reaches every primitive kind, so the properties below
+/// cover all nine.
+#[test]
+fn random_layouts_draw_every_primitive() {
+    let mut seen = std::collections::BTreeSet::new();
+    for seed in 0..400u64 {
+        for dims in [vec![4, 4, 6], vec![8, 8], vec![3, 12, 5, 2]] {
+            for p in random_layout(Shape::new(dims), seed, 4).prims() {
+                seen.insert(
+                    format!("{p:?}")
+                        .split([' ', '{'])
+                        .next()
+                        .unwrap()
+                        .to_string(),
+                );
+            }
+        }
+    }
+    assert_eq!(seen.len(), 9, "primitives drawn: {seen:?}");
 }
 
 proptest! {
@@ -148,5 +229,38 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|&c| c), "some logical element has no slot");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The compiled pack equals the per-element map bit for bit: every
+    /// logical value lands in each slot that holds it (duplicated unfold
+    /// overlap included) and every hole stays 0.0. Values start at 1.0,
+    /// so a hole filled by mistake shows.
+    #[test]
+    fn compiled_pack_matches_per_element(shape in arb_shape(), seed in any::<u64>(), n in 0usize..5) {
+        let layout = random_layout(shape.clone(), seed, n);
+        prop_assume!(layout.physical_shape().numel() <= 1 << 15);
+        let logical = NdBuf::from_fn(shape, |i| i as f32 + 1.0);
+        let packed = layout.pack(&logical).unwrap();
+        let want = reference_pack(&layout, &logical);
+        prop_assert!(bits(&packed) == bits(&want), "pack differs for {}", layout);
+    }
+
+    /// The compiled unpack reads the same canonical slot per element as
+    /// `logical_to_physical` (both without variable extents). Every
+    /// physical slot holds a distinct value, so reading another copy of a
+    /// duplicated element shows.
+    #[test]
+    fn compiled_unpack_matches_per_element(shape in arb_shape(), seed in any::<u64>(), n in 0usize..5) {
+        let layout = random_layout(shape, seed, n);
+        let phys = layout.physical_shape();
+        prop_assume!(phys.numel() <= 1 << 15);
+        let physical = NdBuf::from_fn(phys, |i| i as f32 + 1.0);
+        let unpacked = layout.unpack(&physical).unwrap();
+        let want = reference_unpack(&layout, &physical);
+        prop_assert!(bits(&unpacked) == bits(&want), "unpack differs for {}", layout);
     }
 }

@@ -131,22 +131,14 @@ pub fn pack_buffers(
         let gbuf = bindings
             .get(&guest)
             .unwrap_or_else(|| panic!("missing binding for store_at guest"));
-        let host_layout = plan.layout_of(graph, host);
-        let host_size = graph.tensor(host).shape.dim(host_dim);
         // A truncated program may have pruned the host's buffer along
         // with every group touching it; nothing reads the slot then.
         let Some(BufId(host_buf_idx)) = program.buffer_for_tensor(host) else {
             continue;
         };
-        for gidx in gbuf.shape().clone().iter_indices() {
-            let mut lidx = gidx.clone();
-            lidx.insert(host_dim, host_size);
-            let pidx = host_layout
-                .logical_to_physical(&lidx)
-                .expect("host slot index is concrete");
-            let v = gbuf.get(&gidx);
-            bufs[host_buf_idx].set(&pidx, v);
-        }
+        plan.layout_of(graph, host)
+            .embed_guest(host_dim, gbuf, &mut bufs[host_buf_idx])
+            .expect("store_at guest fits its host slot");
     }
     bufs
 }
@@ -165,19 +157,11 @@ pub fn unpack_buffers(
     for (k, decl) in program.buffers.iter().enumerate() {
         if let BufKind::Tensor(t) = decl.kind {
             if let Some((host, host_dim)) = plan.embedding_of(t) {
-                let host_layout = plan.layout_of(graph, host);
-                let host_size = graph.tensor(host).shape.dim(host_dim);
                 let host_buf = program.buffer_for_tensor(host).expect("host buffer").0;
-                let gshape = graph.tensor(t).shape.clone();
-                let mut g = NdBuf::zeros(gshape.clone());
-                for gidx in gshape.iter_indices() {
-                    let mut lidx = gidx.clone();
-                    lidx.insert(host_dim, host_size);
-                    let pidx = host_layout
-                        .logical_to_physical(&lidx)
-                        .expect("host slot index is concrete");
-                    g.set(&gidx, bufs[host_buf].get(&pidx));
-                }
+                let g = plan
+                    .layout_of(graph, host)
+                    .extract_guest(host_dim, &graph.tensor(t).shape, &bufs[host_buf])
+                    .expect("store_at guest fits its host slot");
                 out.insert(t, g);
                 continue;
             }
@@ -352,6 +336,51 @@ mod tests {
         let out = unpack_buffers(&program, &g, &plan, &bufs);
         let reference = run_graph(&g, &bindings);
         assert!(reference[y.0].max_abs_diff(&out[&y]) <= 1e-4);
+    }
+
+    fn bits(b: &NdBuf) -> Vec<u32> {
+        b.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn store_at_guest_copies_match_per_element_loops() {
+        // The bias vector rides in the weight's reserved row (host dim 0).
+        let mut g = Graph::new();
+        let a = g.add_input("a", Shape::new([6, 10]));
+        let w = g.add_param("w", Shape::new([10, 8]));
+        let c = ops::gmm(&mut g, a, w);
+        let b = g.add_param("b", Shape::new([8]));
+        let _ = ops::bias_add(&mut g, c, b, 1);
+        let mut plan = LayoutPlan::new(PropagationMode::Full);
+        plan.store_at(&g, w, b, 0).unwrap();
+        let program = lower(&g, &plan, &GraphSchedule::naive());
+        let bindings = random_bindings(&g, 5);
+        let bufs = pack_buffers(&program, &g, &plan, &bindings);
+
+        // The per-element loops the compiled guest copies replace: guest
+        // index `gidx` lives at the host's logical index `gidx` with the
+        // slot index (the host dimension's size) inserted at `host_dim`.
+        let host = plan.layout_of(&g, w);
+        let slot_of = |gidx: &[i64]| {
+            let mut lidx = gidx.to_vec();
+            lidx.insert(0, 10);
+            host.logical_to_physical(&lidx).unwrap()
+        };
+        let guest_shape = g.tensor(b).shape.clone();
+        let wb = program.buffer_for_tensor(w).unwrap().0;
+        let mut want = host.pack(&bindings[&w]).unwrap();
+        for gidx in guest_shape.iter_indices() {
+            want.set(&slot_of(&gidx), bindings[&b].get(&gidx));
+        }
+        assert_eq!(bits(&bufs[wb]), bits(&want));
+
+        let out = unpack_buffers(&program, &g, &plan, &bufs);
+        let mut guest = NdBuf::zeros(guest_shape.clone());
+        for gidx in guest_shape.iter_indices() {
+            guest.set(&gidx, bufs[wb].get(&slot_of(&gidx)));
+        }
+        assert_eq!(bits(&out[&b]), bits(&guest));
+        assert_eq!(bits(&out[&b]), bits(&bindings[&b]));
     }
 
     #[test]
