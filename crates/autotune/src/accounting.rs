@@ -23,7 +23,7 @@ use alt_journal::{
     JournalSummary, LayoutCommitRecord, LayoutVisitRecord, JOURNAL_VERSION,
 };
 use alt_layout::LayoutPlan;
-use alt_loopir::GraphSchedule;
+use alt_loopir::{GraphSchedule, LowerCtx, OpSchedule};
 use alt_sim::MachineProfile;
 use alt_telemetry::{
     CostModelRecord, CounterRegistry, PhaseGuard, PpoUpdateRecord, Record, Span, Stage, Telemetry,
@@ -205,18 +205,19 @@ impl<'g> Accounting<'g> {
         !self.quarantine.is_empty() && self.quarantine.contains(&format!("{}:{point:?}", self.op))
     }
 
-    /// Spends budget on one candidate: up to `1 + MAX_RETRIES` attempts,
-    /// never more than `cap` units, each attempt one unit with its own
-    /// trace record. The exponential backoff between attempts is
-    /// recorded, not slept (the simulator has no wall clock). A candidate
-    /// that exhausts its attempts counts towards its quarantine. Writes
-    /// the candidate's journal record and returns its latency, or `None`
-    /// when it failed.
+    /// Spends budget on one candidate, the groups rooted at `roots`
+    /// lowered through `ctx` with the schedule override `over`: up to
+    /// `1 + MAX_RETRIES` attempts, never more than `cap` units, each
+    /// attempt one unit with its own trace record. The exponential
+    /// backoff between attempts is recorded, not slept (the simulator
+    /// has no wall clock). A candidate that exhausts its attempts counts
+    /// towards its quarantine. Writes the candidate's journal record and
+    /// returns its latency, or `None` when it failed.
     pub fn measure(
         &mut self,
-        plan: &LayoutPlan,
-        sched: &GraphSchedule,
+        ctx: &LowerCtx,
         roots: &HashSet<OpId>,
+        over: Option<(OpId, &OpSchedule)>,
         cand: Candidate,
         predicted: Option<f64>,
         cap: u64,
@@ -242,7 +243,7 @@ impl<'g> Accounting<'g> {
             // Re-attempts get their own wall-clock phase so fault/retry
             // cost shows up separately from first-try measurement.
             let retry = (attempt > 1).then(|| self.timing.phase("retry"));
-            let err = match self.measurer.measure_unit(plan, sched, roots, &unit) {
+            let err = match self.measurer.measure_unit(ctx, roots, over, &unit) {
                 Ok(measured) => break Ok(measured),
                 Err(e) => e,
             };

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use alt_error::AltError;
 use alt_layout::LayoutPlan;
-use alt_loopir::{lower, try_lower_filtered, GraphSchedule, Program};
+use alt_loopir::{lower, GraphSchedule, LowerCtx, OpSchedule, Program};
 use alt_sim::{MachineProfile, SimCache, Simulator};
 use alt_telemetry::{
     CounterRegistry, MeasurementFailureRecord, MeasurementRecord, Record, SimCounters, Stage,
@@ -210,11 +210,13 @@ impl<'g> Measurer<'g> {
         op: OpId,
     ) -> Result<f64, AltError> {
         let roots: HashSet<OpId> = [op].into_iter().collect();
-        self.measure_unit(plan, sched, &roots, &UnitLabel::default())
+        let ctx = LowerCtx::new(self.graph, plan, sched);
+        self.measure_unit(&ctx, &roots, None, &UnitLabel::default())
             .map(|(lat, _)| lat)
     }
 
-    /// Spends one budget unit on the groups rooted at `roots` and (with
+    /// Spends one budget unit on the groups rooted at `roots`, lowered
+    /// through `ctx` with the schedule override `over`, and (with
     /// an enabled sink) emits exactly one trace record labelled `unit` —
     /// a measurement record on success, a failure record when lowering
     /// fails, the fault injector strikes or the simulator rejects the
@@ -225,14 +227,14 @@ impl<'g> Measurer<'g> {
     /// latency and what the memo cache saw.
     pub fn measure_unit(
         &mut self,
-        plan: &LayoutPlan,
-        sched: &GraphSchedule,
+        ctx: &LowerCtx,
         roots: &HashSet<OpId>,
+        over: Option<(OpId, &OpSchedule)>,
         unit: &UnitLabel,
     ) -> Result<(f64, ProbeInfo), AltError> {
         self.used += 1;
         self.tick_progress();
-        let program = try_lower_filtered(self.graph, plan, sched, Some(roots));
+        let program = ctx.lower(Some(roots), over);
         let result = program.and_then(|program| self.simulate(&program, unit));
         if let Err(e) = &result {
             self.record_failure(e, unit);
@@ -272,10 +274,9 @@ impl<'g> Measurer<'g> {
             let _simulate = self.timing.phase("simulate");
             self.cache.try_profile(&self.sim, program)
         };
-        let (c, hit) = probe?;
+        let (c, hit, program_fp) = probe?;
         self.registry
             .add(if hit { "cache.hits" } else { "cache.misses" }, 1.0);
-        let program_fp = alt_loopir::program_fingerprint(program);
         let info = ProbeInfo {
             program_fp,
             cache_key: alt_sim::compose_cache_key(self.cache.profile_fp(), program_fp),
@@ -373,7 +374,7 @@ mod tests {
     /// Lowers only `op`'s fusion group (plus its conversion groups).
     fn lower_op(g: &Graph, plan: &LayoutPlan, sched: &GraphSchedule, op: OpId) -> Program {
         let roots: HashSet<OpId> = [op].into_iter().collect();
-        try_lower_filtered(g, plan, sched, Some(&roots)).expect("lowering failed")
+        alt_loopir::try_lower_filtered(g, plan, sched, Some(&roots)).expect("lowering failed")
     }
 
     fn graph() -> Graph {
@@ -413,12 +414,13 @@ mod tests {
         let sched = GraphSchedule::naive();
         let op = g.complex_ops()[0];
         let roots: HashSet<OpId> = [op].into_iter().collect();
+        let ctx = LowerCtx::new(&g, &plan, &sched);
         let unit = UnitLabel {
             op: "conv2d#0",
             ..UnitLabel::default()
         };
         for _ in 0..3 {
-            m.measure_unit(&plan, &sched, &roots, &unit).unwrap();
+            m.measure_unit(&ctx, &roots, None, &unit).unwrap();
         }
         m.flush_counters();
         let records = sink.records();
@@ -551,13 +553,14 @@ mod tests {
         let sched = GraphSchedule::naive();
         let op = g.complex_ops()[0];
         let roots: HashSet<OpId> = [op].into_iter().collect();
+        let ctx = LowerCtx::new(&g, &plan, &sched);
         let unit = UnitLabel {
             op: "conv2d#0",
             candidate: "[1, 2]",
             ..UnitLabel::default()
         };
         for _ in 0..3 {
-            let err = m.measure_unit(&plan, &sched, &roots, &unit).unwrap_err();
+            let err = m.measure_unit(&ctx, &roots, None, &unit).unwrap_err();
             assert_eq!(err.kind(), "injected_compile");
             assert!(err.is_transient());
         }

@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use alt_journal::provenance;
 use alt_layout::{presets, Layout, LayoutPlan, PropagationMode};
-use alt_loopir::{try_lower_filtered, GraphSchedule, OpSchedule};
+use alt_loopir::{GraphSchedule, LowerCtx, OpSchedule};
 use alt_sim::MachineProfile;
 use alt_telemetry::{Stage, Telemetry, Timing};
 use alt_tensor::{Graph, OpId, OpTag, Shape};
@@ -400,16 +400,25 @@ enum RunEnd {
 }
 
 /// One operator's loop tuning under a fixed layout plan: its loop space,
-/// its measurement neighbourhood and the best (latency, point) so far —
-/// the point stays empty until a candidate beats the incumbent.
+/// its measurement neighbourhood, the best (latency, point) so far — the
+/// point stays empty until a candidate beats the incumbent — and the
+/// plan-level lowering context and verification every candidate shares.
 struct OpTuning<'p> {
     op: OpId,
     plan: &'p LayoutPlan,
     space: Space,
     roots: HashSet<OpId>,
     best: (f64, Point),
+    /// The schedule of `best.1`, once a candidate beat the incumbent;
+    /// written back to the graph schedule when the op's rounds end.
+    best_sched: Option<OpSchedule>,
     /// Whether the op's cost model was trained when the round began.
     trained: bool,
+    /// Lowers a candidate's groups as a one-op override of the schedule
+    /// the rounds started from.
+    lower: LowerCtx<'p>,
+    /// Plan legality and buffer facts (`None` when verification is off).
+    check: Option<alt_verify::PlanCheck>,
 }
 
 /// A round's generated candidates with their provenance.
@@ -1014,31 +1023,52 @@ impl<'g> Tuner<'g> {
         // not to zero: `state.rounds` is checkpointed, the label is not.
         self.acct
             .set_round(self.loop_state.get(&op).map_or(0, |st| st.data.rounds));
+        let best = self
+            .best_points
+            .get(&op)
+            .map_or((f64::INFINITY, vec![]), |b| (b.latency_s, b.point.clone()));
+        let unmeasured = best.0.is_infinite();
+        if unmeasured {
+            reset_stale_schedule(self.graph, plan, sched, op);
+        }
+        // The plan-level half of lowering and verification, built once
+        // for every candidate of this op; it counts as lowering time.
+        let (lower, check) = {
+            let _timing = self.cfg.timing.phase("lower");
+            let check = self
+                .cfg
+                .verify
+                .then(|| alt_verify::PlanCheck::new(self.graph, plan));
+            (LowerCtx::new(self.graph, plan, sched), check)
+        };
         let mut t = OpTuning {
             op,
             plan,
             space: build_loop_space_ex(self.graph, plan, op, self.cfg.loop_levels >= 2),
             roots: self.neighborhood(op),
-            best: self
-                .best_points
-                .get(&op)
-                .map_or((f64::INFINITY, vec![]), |b| (b.latency_s, b.point.clone())),
+            best,
+            best_sched: None,
             trained: false,
+            lower,
+            check,
         };
-        if t.best.0.is_infinite() {
+        if unmeasured {
             // On total failure the incumbent stays at infinity; any
             // healthy candidate below will replace it.
-            if let Some(lat) = self.measure_incumbent(&t, sched, budget_cap) {
+            if let Some(lat) = self.measure_incumbent(&t, budget_cap) {
                 t.best.0 = lat;
             }
         }
         for _ in 0..rounds {
             let left = budget_cap.saturating_sub(self.acct.used() - start);
-            if left == 0 || !self.loop_round(&mut t, sched, left) {
+            if left == 0 || !self.loop_round(&mut t, left) {
                 break;
             }
         }
-        let (lat, point) = t.best;
+        let ((lat, point), best_sched) = (t.best, t.best_sched);
+        if let Some(s) = best_sched {
+            sched.set(op, s);
+        }
         if !point.is_empty() {
             let best = BestPointSnap {
                 op: op.0,
@@ -1051,30 +1081,17 @@ impl<'g> Tuner<'g> {
     }
 
     /// Measures the incumbent schedule as the baseline, so a round of
-    /// worse candidates can never overwrite a good schedule. The
-    /// incumbent may predate a layout change, in which case its tilings
-    /// no longer match the physical dims; it is reset first.
-    fn measure_incumbent(
-        &mut self,
-        t: &OpTuning,
-        sched: &mut GraphSchedule,
-        cap: u64,
-    ) -> Option<f64> {
-        let node = self.graph.node(t.op);
-        let phys = t.plan.layout_of(self.graph, node.output).physical_shape();
-        let reduce_ext: Vec<i64> = node.compute.reduce_axes.iter().map(|a| a.extent).collect();
-        if !sched.get(t.op).validate(phys.dims(), &reduce_ext) {
-            sched.set(t.op, OpSchedule::default());
-        }
+    /// worse candidates can never overwrite a good schedule.
+    fn measure_incumbent(&mut self, t: &OpTuning, cap: u64) -> Option<f64> {
         let _timing = self.cfg.timing.phase("measure");
         let cand = Candidate::INCUMBENT;
-        self.acct.measure(t.plan, sched, &t.roots, cand, None, cap)
+        self.acct.measure(&t.lower, &t.roots, None, cand, None, cap)
     }
 
     /// One loop-tuning round within `left` units: generate a batch, lower
     /// and verify it, rank it by the cost model, measure the predicted
     /// top-k, retrain. Returns `false` when nothing could be measured.
-    fn loop_round(&mut self, t: &mut OpTuning, sched: &mut GraphSchedule, left: u64) -> bool {
+    fn loop_round(&mut self, t: &mut OpTuning, left: u64) -> bool {
         let state = self
             .loop_state
             .entry(t.op)
@@ -1087,7 +1104,7 @@ impl<'g> Tuner<'g> {
         // pure CPU-bound work only adds overhead; the clamp is invisible
         // to the run transcript).
         let jobs = crate::parallel::effective_jobs(self.cfg.jobs);
-        let lowered = self.lower_candidates(t, sched, &batch, jobs);
+        let lowered = self.lower_candidates(t, &batch, jobs);
         let mut scored = self.score_candidates(t, batch, lowered);
         // Measure the predicted top-k. `k` respects the remaining budget
         // strictly: when nothing is left, the round stops.
@@ -1098,14 +1115,14 @@ impl<'g> Tuner<'g> {
             }
             return false;
         }
-        self.prewarm(t, sched, &scored[..k], jobs);
+        self.prewarm(t, &scored[..k], jobs);
         // Candidates ranked beyond the top-k are never measured; journal
         // them so every generated candidate has exactly one terminal
         // record.
         for c in scored.split_off(k) {
             self.acct.drop_candidate(c.candidate(), Dropped::Skipped);
         }
-        let measured = self.measure_top_k(t, sched, scored, left);
+        let measured = self.measure_top_k(t, scored, left);
         let state = self.loop_state.get_mut(&t.op).expect("state exists");
         self.acct.cost_model_round(measured, state.data.trained_on);
         state.retrain();
@@ -1158,35 +1175,28 @@ impl<'g> Tuner<'g> {
     /// lowering, verification and featurization depend only on the
     /// (frozen) graph/plan/schedule, never on tuner state, so results are
     /// bit-identical for any `jobs` and come back in submission order.
-    fn lower_candidates(
-        &self,
-        t: &OpTuning,
-        sched: &GraphSchedule,
-        batch: &Batch,
-        jobs: usize,
-    ) -> Vec<Lowered> {
+    /// Each candidate lowers only its own op's group through the op's
+    /// shared context and is verified against the plan checked once.
+    fn lower_candidates(&self, t: &OpTuning, batch: &Batch, jobs: usize) -> Vec<Lowered> {
         let _timing = self.cfg.timing.phase("lower");
         let (graph, op, plan) = (self.graph, t.op, t.plan);
         let single: HashSet<OpId> = [op].into_iter().collect();
-        let verify = self.cfg.verify;
         // Workers report per-candidate lowering latency into the timing
         // registry (thread-safe histograms), never the phase tree — the
         // tree stays on the accounting thread.
         let timing = self.cfg.timing.clone();
         ordered_map(batch, jobs, |_, (p, _)| {
             let s = decode_loop_point(graph, plan, op, &t.space, p);
-            let mut trial_sched = sched.clone();
-            trial_sched.set(op, s.clone());
             let t0 = std::time::Instant::now();
-            let program = try_lower_filtered(graph, plan, &trial_sched, Some(&single));
+            let program = t.lower.lower(Some(&single), Some((op, &s)));
             timing.observe_us("candidate.lower_us", t0.elapsed().as_micros() as u64);
             let program = program.map_err(|_| (None, alt_verify::VerifyStats::default()))?;
             let mut vstats = alt_verify::VerifyStats::default();
-            if verify {
+            if let Some(check) = &t.check {
                 // The verifier is pure and deterministic, so it can run
                 // on workers; only the first (smallest-code) finding is
                 // reported per candidate.
-                let (diags, vs) = alt_verify::verify_program_with_stats(graph, plan, &program);
+                let (diags, vs) = check.verify(&program);
                 timing.observe_us("verify.set_emptiness_us", vs.set_emptiness_us);
                 vstats = vs;
                 if let Some(d) = diags.into_iter().next() {
@@ -1251,18 +1261,15 @@ impl<'g> Tuner<'g> {
     /// budget, telemetry, hit/miss counters — is byte-identical to an
     /// unwarmed run. Skipped at effective `jobs <= 1`, where inline
     /// prewarming would only duplicate the lowering work.
-    fn prewarm(&self, t: &OpTuning, sched: &GraphSchedule, top: &[Scored], jobs: usize) {
+    fn prewarm(&self, t: &OpTuning, top: &[Scored], jobs: usize) {
         if jobs <= 1 {
             return;
         }
         let _timing = self.cfg.timing.phase("prewarm");
-        let graph = self.graph;
         let sim = self.acct.measurer().simulator();
         let cache = self.acct.measurer().sim_cache();
         ordered_map(top, jobs, |_, c| {
-            let mut trial_sched = sched.clone();
-            trial_sched.set(t.op, c.sched.clone());
-            if let Ok(program) = try_lower_filtered(graph, t.plan, &trial_sched, Some(&t.roots)) {
+            if let Ok(program) = t.lower.lower(Some(&t.roots), Some((t.op, &c.sched))) {
                 cache.prewarm(sim, &program);
             }
         });
@@ -1270,15 +1277,9 @@ impl<'g> Tuner<'g> {
 
     /// Measures the selected candidates in rank order within `left`
     /// units, adds each result to the cost model's dataset and keeps the
-    /// fastest schedule in `sched`. Returns a trained model's
+    /// fastest schedule in `t`. Returns a trained model's
     /// `(prediction, -ln latency)` pairs.
-    fn measure_top_k(
-        &mut self,
-        t: &mut OpTuning,
-        sched: &mut GraphSchedule,
-        top: Vec<Scored>,
-        left: u64,
-    ) -> Vec<(f64, f64)> {
+    fn measure_top_k(&mut self, t: &mut OpTuning, top: Vec<Scored>, left: u64) -> Vec<(f64, f64)> {
         let _timing = self.cfg.timing.phase("measure");
         let round_start = self.acct.used();
         let mut measured = Vec::with_capacity(top.len());
@@ -1291,13 +1292,12 @@ impl<'g> Tuner<'g> {
                 self.acct.drop_candidate(c.candidate(), Dropped::Skipped);
                 continue;
             }
-            let mut trial_sched = sched.clone();
-            trial_sched.set(t.op, c.sched.clone());
             let predicted = t.trained.then_some(c.score);
             let cand = c.candidate();
+            let over = Some((t.op, &c.sched));
             let Some(lat) = self
                 .acct
-                .measure(t.plan, &trial_sched, &t.roots, cand, predicted, cap)
+                .measure(&t.lower, &t.roots, over, cand, predicted, cap)
             else {
                 continue;
             };
@@ -1310,10 +1310,21 @@ impl<'g> Tuner<'g> {
             state.record(c.feats, lat);
             if lat < t.best.0 {
                 t.best = (lat, c.point);
-                sched.set(t.op, c.sched);
+                t.best_sched = Some(c.sched);
             }
         }
         measured
+    }
+}
+
+/// Resets `op`'s schedule to the default when its tilings no longer
+/// divide the physical dims: an incumbent may predate a layout change.
+fn reset_stale_schedule(graph: &Graph, plan: &LayoutPlan, sched: &mut GraphSchedule, op: OpId) {
+    let node = graph.node(op);
+    let phys = plan.layout_of(graph, node.output).physical_shape();
+    let reduce_ext: Vec<i64> = node.compute.reduce_axes.iter().map(|a| a.extent).collect();
+    if !sched.get(op).validate(phys.dims(), &reduce_ext) {
+        sched.set(op, OpSchedule::default());
     }
 }
 
@@ -1639,6 +1650,75 @@ mod tests {
         let ba = ops::bias_add(&mut g, c, b, 1);
         let _ = ops::relu(&mut g, ba);
         g
+    }
+
+    #[test]
+    fn illegal_plan_rejects_every_candidate_as_the_one_shot_verifier_does() {
+        // Two independent GMMs; the plan breaks the second one's weight
+        // with a chain the builder would refuse, and the first is tuned.
+        let mut g = Graph::new();
+        let a1 = g.add_input("a1", Shape::new([16, 32]));
+        let b1 = g.add_param("b1", Shape::new([32, 24]));
+        let c1 = ops::gmm(&mut g, a1, b1);
+        let a2 = g.add_input("a2", Shape::new([16, 32]));
+        let b2 = g.add_param("b2", Shape::new([32, 24]));
+        let _ = ops::gmm(&mut g, a2, b2);
+        let op = g.tensor(c1).producer.expect("gmm output");
+        let mut plan = LayoutPlan::new(PropagationMode::Full);
+        let split = alt_layout::LayoutPrim::Split {
+            dim: 0,
+            factors: vec![5, 5],
+        };
+        plan.set_layout(
+            b2,
+            Layout::from_prims_unchecked(g.tensor(b2).shape.clone(), vec![split]),
+        );
+        let sched = base_schedule(&g);
+        let (telemetry, sink) = Telemetry::memory();
+        let mut tuner = Tuner::new(
+            &g,
+            intel_cpu(),
+            TuneConfig {
+                telemetry,
+                ..TuneConfig::default()
+            },
+        );
+        let t = OpTuning {
+            op,
+            plan: &plan,
+            space: build_loop_space_ex(&g, &plan, op, false),
+            roots: tuner.neighborhood(op),
+            best: (f64::INFINITY, vec![]),
+            best_sched: None,
+            trained: false,
+            lower: LowerCtx::new(&g, &plan, &sched),
+            check: Some(alt_verify::PlanCheck::new(&g, &plan)),
+        };
+        let batch: Batch = (0..12)
+            .map(|_| (t.space.random_point(tuner.acct.rng()), provenance::RANDOM))
+            .collect();
+        let lowered = tuner.lower_candidates(&t, &batch, 1);
+        let single: HashSet<OpId> = [op].into_iter().collect();
+        for ((point, _), got) in batch.iter().zip(&lowered) {
+            let mut trial = sched.clone();
+            trial.set(op, decode_loop_point(&g, &plan, op, &t.space, point));
+            let program = alt_loopir::try_lower_filtered(&g, &plan, &trial, Some(&single))
+                .expect("the tuned op lowers");
+            let (diags, _) = alt_verify::verify_program_with_stats(&g, &plan, &program);
+            let want = diags.into_iter().next().expect("an illegal plan rejects");
+            assert_eq!(want.code, alt_error::codes::V008_SPLIT_NONDIVISIBLE);
+            match got {
+                Err((Some(d), _)) => assert_eq!(d, &want),
+                _ => panic!("candidate {point:?} was not rejected"),
+            }
+        }
+        assert!(tuner.score_candidates(&t, batch, lowered).is_empty());
+        let rejections = sink
+            .records()
+            .iter()
+            .filter(|r| matches!(r, Record::VerifyRejection(_)))
+            .count();
+        assert_eq!(rejections, 12, "one rejection per candidate");
     }
 
     #[test]

@@ -3,16 +3,20 @@
 //! Every other tuner property test compares two runs of one build. This
 //! one pins the output itself across versions: a cold run (journal,
 //! trace, periodic checkpoints and a fresh store attached) and a warm
-//! rerun against that store, once fault-free and once at a 0.2 fault
-//! rate. The digests cover the journal lines, the deterministic trace
-//! records (wall-clock spans and events excluded), the last checkpoint's
-//! bytes, the stored winner payload, and the winner latency bits plus
-//! the measurement history. A refactor that keeps these constants keeps
-//! every byte a user can observe.
+//! rerun against that store. A single conv+bias+relu runs once
+//! fault-free and once at a 0.2 fault rate; BERT-tiny under Full
+//! propagation with fixed input layouts adds a network whose plans carry
+//! layout-conversion groups and fused chains. The digests cover the
+//! journal lines, the deterministic trace records (wall-clock spans and
+//! events excluded), the last checkpoint's bytes, the stored winner
+//! payload, and the winner latency bits plus the measurement history. A
+//! refactor that keeps these constants keeps every byte a user can
+//! observe.
 
 use std::sync::Arc;
 
 use alt_autotune::{task_fingerprint, tune_graph, FaultConfig, TuneConfig, TuneResult};
+use alt_layout::PropagationMode;
 use alt_loopir::hash::Fnv1a;
 use alt_sim::{intel_cpu, profile_fingerprint};
 use alt_store::Store;
@@ -45,6 +49,23 @@ fn base_cfg(seed: u64, fault_rate: f64) -> TuneConfig {
     }
 }
 
+/// BERT-tiny at a budget small enough for a debug-build test, with the
+/// network defaults that matter here: Full propagation and graph inputs
+/// kept in their given layout, so committed layouts insert conversions.
+fn bert_cfg(seed: u64) -> TuneConfig {
+    TuneConfig {
+        joint_budget: 12,
+        loop_budget: 12,
+        batch: 6,
+        topk: 2,
+        mode: PropagationMode::Full,
+        free_input_layouts: false,
+        seed,
+        jobs: 1,
+        ..TuneConfig::default()
+    }
+}
+
 fn digest_lines<S: AsRef<str>>(lines: &[S]) -> u64 {
     let mut h = Fnv1a::new();
     for l in lines {
@@ -64,12 +85,12 @@ fn digest_result(r: &TuneResult) -> u64 {
     h.finish()
 }
 
-/// Journal, trace and result digests of one run.
-fn traced_run(cfg: TuneConfig) -> [u64; 3] {
+/// Journal, trace and result digests of one run, and its result.
+fn traced_run(graph: &Graph, cfg: TuneConfig) -> ([u64; 3], TuneResult) {
     let sink = Arc::new(MemorySink::new());
     let (journal, jsink) = alt_journal::Journal::memory();
     let result = tune_graph(
-        &conv_graph(),
+        graph,
         intel_cpu(),
         TuneConfig {
             telemetry: Telemetry::new(sink.clone()),
@@ -83,17 +104,23 @@ fn traced_run(cfg: TuneConfig) -> [u64; 3] {
         .filter(|r| !matches!(r, Record::Span(_) | Record::Event(_)))
         .map(|r| serde_json::to_string(r).expect("record serializes"))
         .collect();
-    [
+    let digests = [
         digest_lines(&jsink.lines()),
         digest_lines(&trace),
         digest_result(&result),
-    ]
+    ];
+    (digests, result)
 }
 
 /// Digests of the cold run (journal, trace, result, checkpoint, winner)
-/// and the warm rerun (journal, trace, result).
-fn digests(seed: u64, fault_rate: f64) -> [u64; 8] {
-    let dir = std::env::temp_dir().join(format!("alt-golden-digest-{}-{seed}", std::process::id()));
+/// and the warm rerun (journal, trace, result) of `graph` under `cfg`,
+/// and the cold run's result.
+fn digests(name: &str, graph: &Graph, cfg: TuneConfig) -> ([u64; 8], TuneResult) {
+    let dir = std::env::temp_dir().join(format!(
+        "alt-golden-digest-{}-{name}-{}",
+        std::process::id(),
+        cfg.seed
+    ));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let ck = dir
@@ -103,32 +130,34 @@ fn digests(seed: u64, fault_rate: f64) -> [u64; 8] {
         .to_string();
     let store = Arc::new(Store::open(dir.join("store.alts")).expect("open store"));
 
-    let cold = traced_run(TuneConfig {
-        checkpoint_path: Some(ck.clone()),
-        checkpoint_every: 8,
-        store: Some(store.clone()),
-        ..base_cfg(seed, fault_rate)
-    });
+    let (cold, cold_result) = traced_run(
+        graph,
+        TuneConfig {
+            checkpoint_path: Some(ck.clone()),
+            checkpoint_every: 8,
+            store: Some(store.clone()),
+            ..cfg.clone()
+        },
+    );
     let mut ck_digest = Fnv1a::new();
     ck_digest.write(&std::fs::read(&ck).expect("a checkpoint was written"));
-    let fp = task_fingerprint(
-        &conv_graph(),
-        profile_fingerprint(&intel_cpu()),
-        &base_cfg(seed, fault_rate),
-    )
-    .expect("fingerprintable config");
+    let fp = task_fingerprint(graph, profile_fingerprint(&intel_cpu()), &cfg)
+        .expect("fingerprintable config");
     let payload = store
         .get(alt_store::kind::WINNER, fp)
         .expect("the cold run published its winner");
     let mut winner_digest = Fnv1a::new();
     winner_digest.write(&payload);
 
-    let warm = traced_run(TuneConfig {
-        store: Some(store),
-        ..base_cfg(seed, fault_rate)
-    });
+    let (warm, _) = traced_run(
+        graph,
+        TuneConfig {
+            store: Some(store),
+            ..cfg
+        },
+    );
     std::fs::remove_dir_all(&dir).ok();
-    [
+    let all = [
         cold[0],
         cold[1],
         cold[2],
@@ -137,7 +166,8 @@ fn digests(seed: u64, fault_rate: f64) -> [u64; 8] {
         warm[0],
         warm[1],
         warm[2],
-    ]
+    ];
+    (all, cold_result)
 }
 
 const NAMES: [&str; 8] = [
@@ -151,8 +181,10 @@ const NAMES: [&str; 8] = [
     "warm result",
 ];
 
-fn check(seed: u64, fault_rate: f64, want: [u64; 8]) {
-    let got = digests(seed, fault_rate);
+/// Checks the digests of one case and returns its cold run's result.
+fn check(name: &str, graph: &Graph, cfg: TuneConfig, want: [u64; 8]) -> TuneResult {
+    let (seed, faults) = (cfg.seed, cfg.faults.clone());
+    let (got, cold) = digests(name, graph, cfg);
     let diffs: Vec<String> = NAMES
         .iter()
         .zip(got.iter().zip(want.iter()))
@@ -161,16 +193,18 @@ fn check(seed: u64, fault_rate: f64, want: [u64; 8]) {
         .collect();
     assert!(
         diffs.is_empty(),
-        "seed {seed} at fault rate {fault_rate}: observable output changed\n{}\nall: {got:#018x?}",
+        "{name} seed {seed} with faults {faults:?}: observable output changed\n{}\nall: {got:#018x?}",
         diffs.join("\n")
     );
+    cold
 }
 
 #[test]
 fn fault_free_run_matches_golden_digests() {
-    check(
-        7,
-        0.0,
+    let _ = check(
+        "conv",
+        &conv_graph(),
+        base_cfg(7, 0.0),
         [
             0x4f5d283df1f3258c,
             0xb9c8ba79b9253fca,
@@ -186,9 +220,10 @@ fn fault_free_run_matches_golden_digests() {
 
 #[test]
 fn faulted_run_matches_golden_digests() {
-    check(
-        11,
-        0.2,
+    let _ = check(
+        "conv",
+        &conv_graph(),
+        base_cfg(11, 0.2),
         [
             0xba9e3ed694661431,
             0x1d38b0bb18754d91,
@@ -199,5 +234,30 @@ fn faulted_run_matches_golden_digests() {
             0x79f165abd717b881,
             0xad487c5b53d592c4,
         ],
+    );
+}
+
+#[test]
+fn bert_tiny_run_matches_golden_digests() {
+    let cold = check(
+        "bert-tiny",
+        &alt_models::bert_tiny(1),
+        bert_cfg(3),
+        [
+            0xdb9820921f05b8f2,
+            0x0944fa948e6eb6d8,
+            0x10d722f995a7c4bc,
+            0x465190778e2e7f51,
+            0xaa123c0d73bca850,
+            0x8f6219747e5dedd4,
+            0x79f165abd717b881,
+            0x13717c9748a33e7f,
+        ],
+    );
+    // The case exists for its conversion groups: the embeddings input
+    // keeps its given layout, so committed layouts convert it.
+    assert!(
+        !cold.plan.conversions().is_empty(),
+        "the BERT-tiny winner should carry layout conversions"
     );
 }

@@ -8,13 +8,15 @@
 //! vendors optimize, weaker on unusual configurations, exactly the
 //! behaviour the paper observes.
 
+use std::collections::HashSet;
+
 use alt_autotune::tuner::{
     apply_fixed_layout, base_schedule, largest_divisor_at_most, FixedLayout,
 };
 use alt_layout::{LayoutPlan, PropagationMode};
-use alt_loopir::{AxisTiling, GraphSchedule, OpSchedule};
+use alt_loopir::{AxisTiling, GraphSchedule, LowerCtx, OpSchedule};
 use alt_sim::{MachineKind, MachineProfile};
-use alt_tensor::{Graph, OpTag};
+use alt_tensor::{Graph, OpId, OpTag};
 
 /// Vendor configuration for one platform.
 fn vendor_layout(profile: &MachineProfile) -> FixedLayout {
@@ -172,24 +174,30 @@ pub fn vendor_plan(
         );
     }
     // Per complex operator, dispatch among the shipped kernel variants
-    // (deterministic, not search: this models vendor engineering).
+    // (deterministic, not search: this models vendor engineering). Each
+    // variant lowers only its operator's group, so one context serves
+    // every dispatch; a variant that fails to lower is not chosen.
     let sim = alt_sim::Simulator::new(*profile);
+    let ctx = LowerCtx::new(graph, &plan, &sched);
+    let mut chosen = Vec::new();
     for &op in &graph.complex_ops() {
+        let roots: HashSet<OpId> = [op].into_iter().collect();
         let mut best: Option<(f64, OpSchedule)> = None;
         for v in vendor_menu(graph, &plan, op, profile, fuse_graph) {
-            let mut trial = sched.clone();
-            trial.set(op, v.clone());
-            let mut roots = std::collections::HashSet::new();
-            roots.insert(op);
-            let program = alt_loopir::lower_filtered(graph, &plan, &trial, Some(&roots));
+            let Ok(program) = ctx.lower(Some(&roots), Some((op, &v))) else {
+                continue;
+            };
             let lat = sim.measure(&program);
             if best.as_ref().map(|b| lat < b.0).unwrap_or(true) {
                 best = Some((lat, v));
             }
         }
         if let Some((_, v)) = best {
-            sched.set(op, v);
+            chosen.push((op, v));
         }
+    }
+    for (op, v) in chosen {
+        sched.set(op, v);
     }
     (plan, sched)
 }

@@ -5,6 +5,13 @@
 //! and fails (exit 1) when the gated metrics regress by more than the
 //! tolerance in geometric mean.
 //!
+//! Trajectories whose entries hold per-workload results (perfbench's
+//! `BENCH_perfbench.json`) have no baseline file: each one's newest
+//! entry is compared with its previous entry instead, metric by metric
+//! for every end-to-end metric `BENCHMARK.json` declares (read from the
+//! candidate directory's parent, never written). A move worse than that
+//! metric's bound is flagged and fails the gate like a regression.
+//!
 //! Metric direction is by naming convention (see
 //! `alt_bench::BenchReport::note_metric`): names containing `latency`
 //! are lower-is-better, names containing `speedup` are higher-is-better,
@@ -55,6 +62,9 @@ fn parse_args() -> Result<Args, String> {
                      --candidate (default bench_traj) against --baseline (default\n\
                      results/bench_baseline); exits 1 when lower-is-better metrics\n\
                      regress by more than FRAC (default 0.05) in geometric mean.\n\
+                     Per-workload trajectories (BENCH_perfbench.json) compare their\n\
+                     newest entry with the previous one instead and fail on a move\n\
+                     worse than the metric's bound in BENCHMARK.json.\n\
                      --report-only prints the comparison but always exits 0."
                 );
                 std::process::exit(0);
@@ -94,6 +104,114 @@ fn regression_ratio(name: &str, baseline: f64, candidate: f64) -> Option<f64> {
     }
 }
 
+/// One end-to-end metric of `BENCHMARK.json`: name, whether lower is
+/// better, and the relative move it tolerates.
+struct Bound {
+    name: String,
+    lower_is_better: bool,
+    bound: f64,
+}
+
+fn bounds(spec: &Value) -> Vec<Bound> {
+    spec.get("end_to_end")
+        .and_then(Value::as_array)
+        .map(|ms| {
+            ms.iter()
+                .filter_map(|m| {
+                    Some(Bound {
+                        name: m.get("name")?.as_str()?.to_string(),
+                        lower_is_better: m.get("better")?.as_str()? == "lower",
+                        bound: m.get("bound")?.as_f64()?,
+                    })
+                })
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// One metric's move between a workload trajectory's previous and
+/// newest entries.
+struct Move {
+    workload: String,
+    metric: String,
+    previous: f64,
+    newest: f64,
+    /// Worse than the metric's bound.
+    flagged: bool,
+}
+
+/// The newest entry of a per-workload trajectory against the previous
+/// one, for every bounded metric both entries record. `None` when the
+/// document is not a per-workload trajectory or has fewer than two
+/// entries.
+fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
+    let entries = doc.get("entries")?.as_array()?;
+    let [.., previous, newest] = entries.as_slice() else {
+        return None;
+    };
+    let (prev, new) = (
+        previous.get("workloads")?.as_object()?,
+        newest.get("workloads")?.as_object()?,
+    );
+    let mut moves = Vec::new();
+    for (workload, w) in new {
+        let metric = |w: &Value, name: &str| w.get("metrics")?.get(name)?.as_f64();
+        for b in bounds {
+            let (Some(newest), Some(previous)) = (
+                metric(w, &b.name),
+                prev.get(workload).and_then(|p| metric(p, &b.name)),
+            ) else {
+                continue;
+            };
+            let ratio = newest / previous;
+            let flagged = if b.lower_is_better {
+                ratio > 1.0 + b.bound
+            } else {
+                ratio < 1.0 - b.bound
+            };
+            moves.push(Move {
+                workload: workload.clone(),
+                metric: b.name.clone(),
+                previous,
+                newest,
+                flagged,
+            });
+        }
+    }
+    Some(moves)
+}
+
+/// Prints a per-workload trajectory's newest-vs-previous moves; returns
+/// whether any was flagged.
+fn report_trajectory(name: &str, doc: &Value, bounds: &[Bound]) -> bool {
+    let Some(moves) = trajectory_moves(doc, bounds) else {
+        println!("{name}: fewer than two per-workload entries; nothing to compare");
+        return false;
+    };
+    let label = |k: usize| {
+        doc["entries"]
+            .as_array()
+            .and_then(|es| es.iter().rev().nth(k))
+            .and_then(|e| e["commit"].as_str())
+            .unwrap_or("?")
+            .to_string()
+    };
+    println!(
+        "{name}: newest entry ({}) vs previous ({}), bounds from BENCHMARK.json:",
+        label(0),
+        label(1)
+    );
+    for m in &moves {
+        let ratio = m.newest / m.previous;
+        let verdict = if m.flagged { "  WORSE THAN BOUND" } else { "" };
+        println!(
+            "    {:<10} {:<16} {:.4} -> {:.4}  (x{ratio:.3}){verdict}",
+            m.workload, m.metric, m.previous, m.newest
+        );
+    }
+    moves.iter().any(|m| m.flagged)
+}
+
 fn load(path: &std::path::Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     serde_json::from_str(&text).map_err(|e| format!("{}: {e:?}", path.display()))
@@ -129,12 +247,25 @@ fn main() {
         std::process::exit(2);
     }
 
+    let spec = load(&candidate_dir.join("..").join("BENCHMARK.json")).ok();
+    let bounds = spec.as_ref().map(bounds).unwrap_or_default();
     let mut ratios: Vec<f64> = Vec::new();
     let mut per_bench: Vec<(String, Vec<f64>)> = Vec::new();
     let mut compared = 0usize;
+    let mut trajectory_flagged = false;
     for name in &names {
         let cand_path = candidate_dir.join(name);
         let base_path = baseline_dir.join(name);
+        if let Ok(doc) = load(&cand_path) {
+            if doc["entries"][0].get("workloads").is_some() {
+                if bounds.is_empty() {
+                    println!("{name}: no BENCHMARK.json bounds found; skipped");
+                } else {
+                    trajectory_flagged |= report_trajectory(name, &doc, &bounds);
+                }
+                continue;
+            }
+        }
         if !base_path.exists() {
             println!("{name}: no baseline (new bench, skipped)");
             continue;
@@ -187,7 +318,14 @@ fn main() {
     }
 
     if compared == 0 {
-        println!("no gated metrics compared; nothing to fail on");
+        println!("no gated baseline metrics compared");
+        if trajectory_flagged {
+            println!("a trajectory moved worse than its bound -> FAIL");
+            if !args.report_only {
+                std::process::exit(1);
+            }
+            println!("(--report-only: not failing)");
+        }
         return;
     }
     // Gate each bench's geomean as well as the overall one, so a real
@@ -203,6 +341,10 @@ fn main() {
     }
     let gm = geomean(&ratios);
     regressed |= gm > 1.0 + args.tolerance;
+    if trajectory_flagged {
+        println!("a trajectory moved worse than its bound");
+        regressed = true;
+    }
     println!(
         "geomean regression ratio over {compared} metric(s): x{gm:.4} \
          (tolerance {:.0}%) -> {}",
@@ -214,5 +356,48 @@ fn main() {
     }
     if regressed {
         println!("(--report-only: not failing)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(text: &str) -> Value {
+        serde_json::from_str(text).expect("valid JSON")
+    }
+
+    fn entry(commit: &str, compile_s: f64, rss: f64) -> String {
+        format!(
+            r#"{{"commit": "{commit}", "workloads": {{"tune-nets":
+                {{"metrics": {{"compile_s": {compile_s}, "peak_rss_mb": {rss}}}}}}}}}"#
+        )
+    }
+
+    #[test]
+    fn newest_entry_is_flagged_only_beyond_its_bound() {
+        let spec = parse(
+            r#"{"end_to_end": [
+                {"name": "compile_s", "better": "lower", "bound": 0.25},
+                {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+                {"name": "setup_s", "better": "lower", "bound": 0.25}
+            ]}"#,
+        );
+        let bounds = bounds(&spec);
+        assert_eq!(bounds.len(), 3);
+        let doc = parse(&format!(
+            r#"{{"entries": [{}, {}, {}]}}"#,
+            entry("a", 99.0, 1.0),
+            entry("b", 18.0, 38.0),
+            entry("c", 7.0, 44.0)
+        ));
+        let moves = trajectory_moves(&doc, &bounds).expect("two entries or more");
+        // `setup_s` is in neither entry, so two moves, against `b`.
+        assert_eq!(moves.len(), 2);
+        assert_eq!((moves[0].previous, moves[0].newest), (18.0, 7.0));
+        assert!(!moves[0].flagged, "a faster compile is no regression");
+        assert!(moves[1].flagged, "+16% RSS exceeds its 15% bound");
+        let single = parse(&format!(r#"{{"entries": [{}]}}"#, entry("a", 1.0, 1.0)));
+        assert!(trajectory_moves(&single, &bounds).is_none());
     }
 }

@@ -581,6 +581,29 @@ impl Layout {
         Ok(self)
     }
 
+    /// Rebuilds a layout from a primitive chain without validating it,
+    /// the way a chain arrives from outside the builder (a deserializer,
+    /// a hand-written plan). A primitive that does not fit the shape it
+    /// meets is kept but leaves that shape unchanged, so the chain stays
+    /// walkable; [`Layout::revalidate`] reports the first such
+    /// primitive, which is how the static legality pass rejects the
+    /// layout.
+    pub fn from_prims_unchecked(logical: Shape, prims: Vec<LayoutPrim>) -> Self {
+        let mut cur = logical.dims().to_vec();
+        let mut shapes = vec![cur.clone()];
+        for prim in &prims {
+            if prim.check(&cur).is_ok() {
+                cur = prim.apply_shape(&cur);
+            }
+            shapes.push(cur.clone());
+        }
+        Self {
+            logical,
+            prims,
+            shapes,
+        }
+    }
+
     /// The logical shape this layout started from.
     pub fn logical_shape(&self) -> &Shape {
         &self.logical
@@ -1254,6 +1277,38 @@ mod tests {
 
     fn layout4(dims: [i64; 4]) -> Layout {
         Layout::identity(Shape::new(dims.to_vec()))
+    }
+
+    #[test]
+    fn unchecked_chains_revalidate_to_their_first_bad_primitive() {
+        let split = LayoutPrim::Split {
+            dim: 1,
+            factors: vec![4, 16],
+        };
+        let built = layout4([1, 64, 8, 8]).with(split.clone()).unwrap();
+        let rebuilt = Layout::from_prims_unchecked(Shape::new(vec![1, 64, 8, 8]), vec![split]);
+        assert_eq!(rebuilt, built);
+        assert!(rebuilt.revalidate().is_ok());
+
+        let bad = Layout::from_prims_unchecked(
+            Shape::new(vec![1, 64, 8, 8]),
+            vec![
+                LayoutPrim::Split {
+                    dim: 1,
+                    factors: vec![3, 16],
+                },
+                LayoutPrim::Pad {
+                    dim: 9,
+                    before: 0,
+                    after: 1,
+                },
+            ],
+        );
+        assert_eq!(bad.physical_shape().dims(), &[1, 64, 8, 8]);
+        assert!(matches!(
+            bad.revalidate(),
+            Err(LayoutError::BadFactors { .. })
+        ));
     }
 
     #[test]

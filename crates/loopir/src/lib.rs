@@ -17,7 +17,7 @@ pub mod tir;
 
 pub use hash::program_fingerprint;
 pub use interp::{pack_buffers, run_program, unpack_buffers};
-pub use lower::{lower, lower_filtered, try_lower, try_lower_filtered};
+pub use lower::{lower, try_lower, try_lower_filtered, LowerCtx};
 pub use schedule::{AxisTiling, GraphSchedule, OpSchedule};
 pub use tir::{
     BufId, BufKind, BufferDecl, LoopKind, LoweredGroup, Program, SExpr, Stmt, StoreMode, TirNode,

@@ -15,7 +15,7 @@
 //! (`S0 [init | R0 S1 R1 S2 | epilogue]`), with elementwise consumers fused
 //! into the epilogue of their producer's tile loops when layouts align.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use alt_error::AltError;
 use alt_layout::{LayoutPlan, VarExtents};
@@ -23,7 +23,7 @@ use alt_tensor::expr::{Expr, Var, VarGen};
 use alt_tensor::op::{Cond, ReduceKind, ScalarBinOp, ScalarExpr};
 use alt_tensor::{Graph, Node, OpId, OpTag, TensorId};
 
-use crate::schedule::GraphSchedule;
+use crate::schedule::{GraphSchedule, OpSchedule};
 use crate::tir::{
     BufId, BufKind, BufferDecl, LoopKind, LoweredGroup, Program, SExpr, Stmt, StoreMode, TirNode,
 };
@@ -126,81 +126,132 @@ fn conj(conds: &[Cond]) -> Option<Cond> {
     Some(it.fold(first, |a, b| a.and(b)))
 }
 
-/// Converts a compute-body [`ScalarExpr`] (logical loads) into an
-/// [`SExpr`] (physical buffer loads), rewriting each access through the
-/// input tensor's layout.
-#[allow(clippy::too_many_arguments)]
-fn convert_body(
-    expr: &ScalarExpr,
-    node: &Node,
-    graph: &Graph,
-    plan: &LayoutPlan,
-    bufs: &HashMap<TensorId, BufId>,
-    converted: &HashMap<(TensorId, OpId), BufId>,
-    subst: &HashMap<u32, Expr>,
-    extents: &VarExtents,
-) -> Result<SExpr, AltError> {
-    Ok(match expr {
-        ScalarExpr::Imm(v) => SExpr::Imm(*v),
-        ScalarExpr::Load { input, indices } => {
-            let t = node.inputs[*input];
-            let mut logical: Vec<Expr> = indices.iter().map(|e| e.subst(subst)).collect();
-            // A `store_at` guest lives inside its host's buffer, at the
-            // reserved slot along the host dimension.
-            if let Some((host, host_dim)) = plan.embedding_of(t) {
-                let host_size = graph.tensor(host).shape.dim(host_dim);
-                logical.insert(host_dim, Expr::c(host_size));
-                let layout = plan.layout_of(graph, host);
-                let phys = layout.rewrite_access(&logical, extents)?;
-                return Ok(SExpr::Load {
-                    buf: bufs[&host],
-                    indices: phys,
-                });
-            }
-            let layout = plan.layout_for_read(graph, t, node.id);
-            let phys = layout.rewrite_access(&logical, extents)?;
-            let buf = converted
-                .get(&(t, node.id))
-                .copied()
-                .unwrap_or_else(|| bufs[&t]);
-            SExpr::Load { buf, indices: phys }
-        }
-        ScalarExpr::Bin(op, a, b) => SExpr::Bin(
-            *op,
-            Box::new(convert_body(
-                a, node, graph, plan, bufs, converted, subst, extents,
-            )?),
-            Box::new(convert_body(
-                b, node, graph, plan, bufs, converted, subst, extents,
-            )?),
-        ),
-        ScalarExpr::Unary(op, a) => SExpr::Unary(
-            *op,
-            Box::new(convert_body(
-                a, node, graph, plan, bufs, converted, subst, extents,
-            )?),
-        ),
-        ScalarExpr::Select { cond, then_, else_ } => SExpr::Select {
-            cond: cond.subst(subst),
-            then_: Box::new(convert_body(
-                then_, node, graph, plan, bufs, converted, subst, extents,
-            )?),
-            else_: Box::new(convert_body(
-                else_, node, graph, plan, bufs, converted, subst, extents,
-            )?),
-        },
-    })
+/// Everything lowering derives from a graph, its layout plan and a base
+/// schedule, built once and shared by every candidate lowered under
+/// them: one buffer per graph tensor with its physical shape (graph
+/// tensor `t` is buffer `BufId(t.0)`) and the fusion groups.
+/// [`LowerCtx::lower`] then lowers a candidate from its roots and a
+/// one-op schedule override, in time proportional to the groups it
+/// emits rather than to the graph.
+pub struct LowerCtx<'a> {
+    graph: &'a Graph,
+    plan: &'a LayoutPlan,
+    sched: &'a GraphSchedule,
+    buffers: Vec<BufferDecl>,
+    /// `(root, fused elementwise chain)` in execution order.
+    groups: Vec<(OpId, Vec<OpId>)>,
+    /// Position in `groups` of each group root.
+    group_of: HashMap<OpId, usize>,
 }
 
-/// The lowering context.
-struct Lowerer<'g> {
-    graph: &'g Graph,
-    plan: &'g LayoutPlan,
-    sched: &'g GraphSchedule,
-    vargen: VarGen,
-    program: Program,
-    bufs: HashMap<TensorId, BufId>,
-    converted: HashMap<(TensorId, OpId), BufId>,
+impl<'a> LowerCtx<'a> {
+    /// Builds the context of `graph` under `plan`, with `sched` as the
+    /// schedule of every operator a lowering does not override.
+    pub fn new(graph: &'a Graph, plan: &'a LayoutPlan, sched: &'a GraphSchedule) -> Self {
+        let buffers = graph
+            .tensors()
+            .iter()
+            .enumerate()
+            .map(|(k, t)| BufferDecl {
+                name: t.name.clone(),
+                shape: plan.layout_of(graph, TensorId(k)).physical_shape(),
+                kind: BufKind::Tensor(TensorId(k)),
+            })
+            .collect();
+        let groups = fusion_groups(graph, plan, |op| sched.get(op).fuse_into_producer);
+        let group_of = groups
+            .iter()
+            .enumerate()
+            .map(|(k, (root, _))| (*root, k))
+            .collect();
+        Self {
+            graph,
+            plan,
+            sched,
+            buffers,
+            groups,
+            group_of,
+        }
+    }
+
+    /// Lowers the fusion groups rooted at `roots` (all groups when
+    /// `None`), in execution order and each preceded by the layout
+    /// conversions it reads, with `over` replacing one operator's
+    /// schedule. The program equals [`try_lower_filtered`] under a copy
+    /// of the base schedule with the override set.
+    ///
+    /// An override that would change a fusion decision is rejected with
+    /// [`AltError::Lower`]: the groups were fixed when the context was
+    /// built.
+    pub fn lower(
+        &self,
+        roots: Option<&HashSet<OpId>>,
+        over: Option<(OpId, &OpSchedule)>,
+    ) -> Result<Program, AltError> {
+        if let Some((op, s)) = over {
+            self.check_fusion_kept(op, s)?;
+        }
+        let picked: Vec<usize> = match roots {
+            None => (0..self.groups.len()).collect(),
+            Some(roots) => {
+                let mut picked: Vec<usize> = roots
+                    .iter()
+                    .filter_map(|r| self.group_of.get(r).copied())
+                    .collect();
+                picked.sort_unstable();
+                picked
+            }
+        };
+        let mut l = Lowerer {
+            ctx: self,
+            over,
+            vargen: self.graph.vargen.clone(),
+            program: Program {
+                buffers: self.buffers.clone(),
+                groups: Vec::new(),
+            },
+            converted: HashMap::new(),
+        };
+        for k in picked {
+            let (root, fused) = &self.groups[k];
+            l.emit_conversions_for(*root)?;
+            for &f in fused {
+                l.emit_conversions_for(f)?;
+            }
+            l.lower_group(*root, fused.clone())?;
+        }
+        Ok(l.program)
+    }
+
+    /// Fusion reads only elementwise operators' `fuse_into_producer`, so
+    /// only an override that flips that flag can move a group boundary;
+    /// such an override is regrouped and rejected if the groups change.
+    fn check_fusion_kept(&self, op: OpId, s: &OpSchedule) -> Result<(), AltError> {
+        let Some(node) = self.graph.nodes().get(op.0) else {
+            return Ok(());
+        };
+        if node.tag != OpTag::Elementwise
+            || s.fuse_into_producer == self.sched.get(op).fuse_into_producer
+        {
+            return Ok(());
+        }
+        let regrouped = fusion_groups(self.graph, self.plan, |c| {
+            if c == op {
+                s.fuse_into_producer
+            } else {
+                self.sched.get(c).fuse_into_producer
+            }
+        });
+        if regrouped == self.groups {
+            return Ok(());
+        }
+        Err(AltError::Lower {
+            detail: format!(
+                "the schedule override of `{}` changes a fusion decision of the lowering context",
+                node.compute.name
+            ),
+        })
+    }
 }
 
 /// Lowers a scheduled, layout-annotated graph into a program.
@@ -221,139 +272,163 @@ pub fn try_lower(
     try_lower_filtered(graph, plan, sched, None)
 }
 
-/// Lowers only the fusion groups rooted at the given operators (all groups
-/// when `roots` is `None`). Tuners use this to measure a single operator's
-/// group — including its layout-conversion groups — without paying for the
-/// rest of the network.
-///
-/// Panics on invalid layout/schedule combinations; tuning paths use
-/// [`try_lower_filtered`].
-pub fn lower_filtered(
-    graph: &Graph,
-    plan: &LayoutPlan,
-    sched: &GraphSchedule,
-    roots: Option<&std::collections::HashSet<OpId>>,
-) -> Program {
-    try_lower_filtered(graph, plan, sched, roots).expect("lowering failed")
-}
-
-/// Fallible [`lower_filtered`]: layout rewrite failures (rank mismatches,
-/// non-invertible access maps) surface as [`AltError::Layout`] and invalid
-/// loop structures as [`AltError::Lower`], so the tuner can treat a bad
-/// candidate as a recoverable measurement failure.
+/// Lowers only the fusion groups rooted at the given operators (all
+/// groups when `roots` is `None`), each with the layout-conversion
+/// groups it reads, by building a [`LowerCtx`] and lowering once.
+/// Layout rewrite failures (rank mismatches, non-invertible access maps)
+/// surface as [`AltError::Layout`] and invalid loop structures as
+/// [`AltError::Lower`], so a tuner can treat a bad candidate as a
+/// recoverable measurement failure. Lowering many candidates under one
+/// plan should reuse one context instead.
 pub fn try_lower_filtered(
     graph: &Graph,
     plan: &LayoutPlan,
     sched: &GraphSchedule,
-    roots: Option<&std::collections::HashSet<OpId>>,
+    roots: Option<&HashSet<OpId>>,
 ) -> Result<Program, AltError> {
-    let mut l = Lowerer {
-        graph,
-        plan,
-        sched,
-        vargen: graph.vargen.clone(),
-        program: Program::default(),
-        bufs: HashMap::new(),
-        converted: HashMap::new(),
-    };
-    l.declare_buffers();
-    let groups = l.fusion_groups();
-    for (root, fused) in groups {
-        if let Some(filter) = roots {
-            if !filter.contains(&root) {
-                continue;
-            }
-        }
-        l.emit_conversions_for(root)?;
-        for &f in &fused {
-            l.emit_conversions_for(f)?;
-        }
-        l.lower_group(root, fused)?;
-    }
-    Ok(l.program)
+    LowerCtx::new(graph, plan, sched).lower(roots, None)
 }
 
-impl<'g> Lowerer<'g> {
-    fn declare_buffers(&mut self) {
-        for (k, t) in self.graph.tensors().iter().enumerate() {
-            let id = TensorId(k);
-            let shape = self.plan.layout_of(self.graph, id).physical_shape();
-            let buf = self.program.add_buffer(BufferDecl {
-                name: t.name.clone(),
-                shape,
-                kind: BufKind::Tensor(id),
-            });
-            self.bufs.insert(id, buf);
+/// Groups operators for fusion: an elementwise op whose schedule asks
+/// for fusion (`fuses`) joins its producer's group when it is the sole
+/// consumer and its output layout replicates the producer's (the
+/// alignment that layout propagation establishes — paper Fig. 7).
+fn fusion_groups(
+    graph: &Graph,
+    plan: &LayoutPlan,
+    fuses: impl Fn(OpId) -> bool,
+) -> Vec<(OpId, Vec<OpId>)> {
+    let mut assigned = vec![false; graph.num_ops()];
+    let mut groups = Vec::new();
+    for node in graph.nodes() {
+        if assigned[node.id.0] {
+            continue;
         }
+        assigned[node.id.0] = true;
+        let mut fused = Vec::new();
+        let mut tail = node.output;
+        loop {
+            let consumers = &graph.tensor(tail).consumers;
+            if consumers.len() != 1 {
+                break;
+            }
+            let c = consumers[0];
+            if assigned[c.0] {
+                break;
+            }
+            let cn = graph.node(c);
+            if cn.tag != OpTag::Elementwise || !fuses(c) {
+                break;
+            }
+            // Conversions on the fused edge make fusion meaningless.
+            if plan.conversion_for(tail, c).is_some() {
+                break;
+            }
+            let tail_layout = plan.layout_of(graph, tail);
+            let out_layout = plan.layout_of(graph, cn.output);
+            if tail_layout.prims() != out_layout.prims()
+                || tail_layout.logical_shape() != out_layout.logical_shape()
+            {
+                break;
+            }
+            assigned[c.0] = true;
+            fused.push(c);
+            tail = cn.output;
+        }
+        groups.push((node.id, fused));
     }
+    groups
+}
 
-    /// Groups operators for fusion: an elementwise op whose schedule asks
-    /// for fusion joins its producer's group when it is the sole consumer
-    /// and its output layout replicates the producer's (the alignment that
-    /// layout propagation establishes — paper Fig. 7).
-    fn fusion_groups(&self) -> Vec<(OpId, Vec<OpId>)> {
-        let mut assigned = vec![false; self.graph.num_ops()];
-        let mut groups = Vec::new();
-        for node in self.graph.nodes() {
-            if assigned[node.id.0] {
-                continue;
+/// The buffer of a graph tensor: the context declares them in tensor
+/// order.
+fn tensor_buf(t: TensorId) -> BufId {
+    BufId(t.0)
+}
+
+/// One lowering in progress against a [`LowerCtx`].
+struct Lowerer<'c, 'a> {
+    ctx: &'c LowerCtx<'a>,
+    over: Option<(OpId, &'c OpSchedule)>,
+    vargen: VarGen,
+    program: Program,
+    converted: HashMap<(TensorId, OpId), BufId>,
+}
+
+impl Lowerer<'_, '_> {
+    /// Converts a compute-body [`ScalarExpr`] (logical loads) into an
+    /// [`SExpr`] (physical buffer loads), rewriting each access through
+    /// the input tensor's layout.
+    fn convert_body(
+        &self,
+        expr: &ScalarExpr,
+        node: &Node,
+        subst: &HashMap<u32, Expr>,
+        extents: &VarExtents,
+    ) -> Result<SExpr, AltError> {
+        let (graph, plan) = (self.ctx.graph, self.ctx.plan);
+        Ok(match expr {
+            ScalarExpr::Imm(v) => SExpr::Imm(*v),
+            ScalarExpr::Load { input, indices } => {
+                let t = node.inputs[*input];
+                let mut logical: Vec<Expr> = indices.iter().map(|e| e.subst(subst)).collect();
+                // A `store_at` guest lives inside its host's buffer, at the
+                // reserved slot along the host dimension.
+                if let Some((host, host_dim)) = plan.embedding_of(t) {
+                    let host_size = graph.tensor(host).shape.dim(host_dim);
+                    logical.insert(host_dim, Expr::c(host_size));
+                    let layout = plan.layout_of(graph, host);
+                    let phys = layout.rewrite_access(&logical, extents)?;
+                    return Ok(SExpr::Load {
+                        buf: tensor_buf(host),
+                        indices: phys,
+                    });
+                }
+                let layout = plan.layout_for_read(graph, t, node.id);
+                let phys = layout.rewrite_access(&logical, extents)?;
+                let buf = self
+                    .converted
+                    .get(&(t, node.id))
+                    .copied()
+                    .unwrap_or_else(|| tensor_buf(t));
+                SExpr::Load { buf, indices: phys }
             }
-            assigned[node.id.0] = true;
-            let mut fused = Vec::new();
-            let mut tail = node.output;
-            loop {
-                let consumers = &self.graph.tensor(tail).consumers;
-                if consumers.len() != 1 {
-                    break;
-                }
-                let c = consumers[0];
-                if assigned[c.0] {
-                    break;
-                }
-                let cn = self.graph.node(c);
-                if cn.tag != OpTag::Elementwise || !self.sched.get(c).fuse_into_producer {
-                    break;
-                }
-                // Conversions on the fused edge make fusion meaningless.
-                if self.plan.conversion_for(tail, c).is_some() {
-                    break;
-                }
-                let tail_layout = self.plan.layout_of(self.graph, tail);
-                let out_layout = self.plan.layout_of(self.graph, cn.output);
-                if tail_layout.prims() != out_layout.prims()
-                    || tail_layout.logical_shape() != out_layout.logical_shape()
-                {
-                    break;
-                }
-                assigned[c.0] = true;
-                fused.push(c);
-                tail = cn.output;
+            ScalarExpr::Bin(op, a, b) => SExpr::Bin(
+                *op,
+                Box::new(self.convert_body(a, node, subst, extents)?),
+                Box::new(self.convert_body(b, node, subst, extents)?),
+            ),
+            ScalarExpr::Unary(op, a) => {
+                SExpr::Unary(*op, Box::new(self.convert_body(a, node, subst, extents)?))
             }
-            groups.push((node.id, fused));
-        }
-        groups
+            ScalarExpr::Select { cond, then_, else_ } => SExpr::Select {
+                cond: cond.subst(subst),
+                then_: Box::new(self.convert_body(then_, node, subst, extents)?),
+                else_: Box::new(self.convert_body(else_, node, subst, extents)?),
+            },
+        })
     }
 
     /// Emits the runtime layout-conversion groups feeding `op`.
     fn emit_conversions_for(&mut self, op: OpId) -> Result<(), AltError> {
-        let node = self.graph.node(op);
-        for &t in &node.inputs.clone() {
-            let Some(conv) = self.plan.conversion_for(t, op) else {
+        let (graph, plan) = (self.ctx.graph, self.ctx.plan);
+        let node = graph.node(op);
+        for &t in &node.inputs {
+            let Some(conv) = plan.conversion_for(t, op) else {
                 continue;
             };
             if self.converted.contains_key(&(t, op)) {
                 continue;
             }
-            let new_layout = conv.layout.clone();
-            let src_layout = self.plan.layout_of(self.graph, t);
+            let new_layout = &conv.layout;
+            let src_layout = plan.layout_of(graph, t);
             let phys = new_layout.physical_shape();
             let buf = self.program.add_buffer(BufferDecl {
-                name: format!("{}_conv", self.graph.tensor(t).name),
+                name: format!("{}_conv", graph.tensor(t).name),
                 shape: phys.clone(),
                 kind: BufKind::Converted(t),
             });
             self.converted.insert((t, op), buf);
-
             // Simple parallel/vectorized copy nest over the new physical
             // dims. Tensors carry no logical axis names, so the lineage
             // helper's positional `d{k}` fallback names the loops (still
@@ -369,7 +444,7 @@ impl<'g> Lowerer<'g> {
                 buf,
                 indices: var_exprs.clone(),
                 value: SExpr::Load {
-                    buf: self.bufs[&t],
+                    buf: tensor_buf(t),
                     indices: src_phys,
                 },
                 mode: StoreMode::Assign,
@@ -404,22 +479,26 @@ impl<'g> Lowerer<'g> {
                 root: op,
                 fused: vec![],
                 nodes,
-                label: format!("convert({})", self.graph.tensor(t).name),
+                label: format!("convert({})", graph.tensor(t).name),
             });
         }
         Ok(())
     }
 
     fn lower_group(&mut self, root: OpId, fused: Vec<OpId>) -> Result<(), AltError> {
-        let node = self.graph.node(root).clone();
-        let out_layout = self.plan.layout_of(self.graph, node.output);
+        let graph = self.ctx.graph;
+        let node = graph.node(root);
+        let out_layout = self.ctx.plan.layout_of(graph, node.output);
         let phys = out_layout.physical_shape();
-        let out_buf = self.bufs[&node.output];
+        let out_buf = tensor_buf(node.output);
         // A schedule authored against a different (since-changed) layout
         // no longer divides the physical dims; fall back to an automatic
         // schedule rather than producing invalid loops.
         let reduce_ext: Vec<i64> = node.compute.reduce_axes.iter().map(|a| a.extent).collect();
-        let mut sched = self.sched.get(root);
+        let mut sched = match self.over {
+            Some((op, s)) if op == root => s.clone(),
+            _ => self.ctx.sched.get(root),
+        };
         if !sched.validate(phys.dims(), &reduce_ext) {
             sched = auto_schedule(&phys, sched.fuse_into_producer);
         }
@@ -491,16 +570,7 @@ impl<'g> Lowerer<'g> {
             subst.insert(ax.var.id(), e.clone());
         }
 
-        let body = convert_body(
-            &node.compute.body,
-            &node,
-            self.graph,
-            self.plan,
-            &self.bufs,
-            &self.converted,
-            &subst,
-            &extents,
-        )?;
+        let body = self.convert_body(&node.compute.body, node, &subst, &extents)?;
 
         let mut tile_body: Vec<TirNode> = Vec::new();
         let is_reduce = node.compute.reduce != ReduceKind::None;
@@ -640,28 +710,19 @@ impl<'g> Lowerer<'g> {
                 }));
             }
             for &f in &fused {
-                let fnode = self.graph.node(f).clone();
+                let fnode = graph.node(f);
                 // The fused op's axes map one-to-one onto the root's
                 // logical output indices.
                 let mut fsubst = HashMap::new();
                 for (ax, e) in fnode.compute.axes.iter().zip(logical_exprs.iter()) {
                     fsubst.insert(ax.var.id(), e.clone());
                 }
-                let fbuf = self.bufs[&fnode.output];
+                let fbuf = tensor_buf(fnode.output);
                 // Convert the body; loads of `prev_out` become physical
                 // loads at the current tile position (its layout equals
                 // the root output layout, so the rewrite yields exactly
                 // `phys_exprs` — no special-casing needed).
-                let fbody = convert_body(
-                    &fnode.compute.body,
-                    &fnode,
-                    self.graph,
-                    self.plan,
-                    &self.bufs,
-                    &self.converted,
-                    &fsubst,
-                    &extents,
-                )?;
+                let fbody = self.convert_body(&fnode.compute.body, fnode, &fsubst, &extents)?;
                 stmts.push(TirNode::Stmt(Stmt {
                     buf: fbuf,
                     indices: phys_exprs.clone(),
@@ -682,7 +743,7 @@ impl<'g> Lowerer<'g> {
                 node.compute.name,
                 fused
                     .iter()
-                    .map(|f| self.graph.node(*f).compute.name.clone())
+                    .map(|f| graph.node(*f).compute.name.clone())
                     .collect::<Vec<_>>()
                     .join("+")
             )
@@ -699,7 +760,7 @@ impl<'g> Lowerer<'g> {
 
 /// Fallback schedule derived from the physical output shape: parallel
 /// outer loops and a vectorizable innermost tile.
-fn auto_schedule(phys: &alt_tensor::Shape, fuse: bool) -> crate::schedule::OpSchedule {
+fn auto_schedule(phys: &alt_tensor::Shape, fuse: bool) -> OpSchedule {
     let nd = phys.ndim();
     let mut spatial = vec![crate::schedule::AxisTiling::none(); nd];
     if nd > 0 {
@@ -715,7 +776,7 @@ fn auto_schedule(phys: &alt_tensor::Shape, fuse: bool) -> crate::schedule::OpSch
             spatial[nd - 1] = crate::schedule::AxisTiling::one(tile);
         }
     }
-    crate::schedule::OpSchedule {
+    OpSchedule {
         spatial,
         reduce: Vec::new(),
         vectorize: true,

@@ -291,7 +291,10 @@ impl SimCache {
         compose_cache_key(self.profile_fp, program_fingerprint(program))
     }
 
-    /// Simulates `program`, consulting the memo table first.
+    /// Simulates `program`, consulting the memo table first. Returns the
+    /// counters, whether the lookup was a hit, and the program
+    /// fingerprint the key was composed from, so callers that record it
+    /// need not hash the program a second time.
     ///
     /// Counts exactly one hit or one miss per call. A hit is a lookup of
     /// an entry that an earlier `try_profile` call already accounted; a
@@ -305,7 +308,7 @@ impl SimCache {
         &self,
         sim: &Simulator,
         program: &Program,
-    ) -> Result<(Counters, bool), AltError> {
+    ) -> Result<(Counters, bool, u64), AltError> {
         let t0 = Instant::now();
         let program_fp = program_fingerprint(program);
         let key = compose_cache_key(self.profile_fp, program_fp);
@@ -324,11 +327,11 @@ impl SimCache {
             if snap.accounted || prior {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.observe_since("memo.lookup_us", t0);
-                return Ok((snap.c, true));
+                return Ok((snap.c, true, program_fp));
             }
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.observe_since("memo.lookup_us", t0);
-            return Ok((snap.c, false));
+            return Ok((snap.c, false, program_fp));
         }
         if prior {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -348,7 +351,7 @@ impl SimCache {
                 },
             );
             self.observe_since("memo.store_serve_us", t0);
-            return Ok((c, prior));
+            return Ok((c, prior, program_fp));
         }
         let c = sim.try_profile_counters(program)?;
         self.account_store(key, program_fp, &c, false);
@@ -361,7 +364,7 @@ impl SimCache {
             },
         );
         self.observe_since("memo.cold_simulate_us", t0);
-        Ok((c, prior))
+        Ok((c, prior, program_fp))
     }
 
     /// Simulates `program` into the table without touching statistics.
@@ -513,8 +516,8 @@ mod tests {
         let sim = Simulator::new(intel_cpu());
         let cache = SimCache::new(sim.profile());
         let p = lowered();
-        let (a, hit_a) = cache.try_profile(&sim, &p).unwrap();
-        let (b, hit_b) = cache.try_profile(&sim, &p).unwrap();
+        let (a, hit_a, _) = cache.try_profile(&sim, &p).unwrap();
+        let (b, hit_b, _) = cache.try_profile(&sim, &p).unwrap();
         assert!(!hit_a && hit_b);
         assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
         assert_eq!(a.latency_s.to_bits(), sim.measure(&p).to_bits());
@@ -534,11 +537,11 @@ mod tests {
         // The first budgeted lookup of a prewarmed entry still reads as
         // a miss — exactly what an unwarmed run would record — so the
         // transcript is independent of prewarming.
-        let (a, hit) = cache.try_profile(&sim, &p).unwrap();
+        let (a, hit, _) = cache.try_profile(&sim, &p).unwrap();
         assert!(!hit);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         // Only a genuine repeat is a hit.
-        let (b, hit) = cache.try_profile(&sim, &p).unwrap();
+        let (b, hit, _) = cache.try_profile(&sim, &p).unwrap();
         assert!(hit);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
@@ -563,7 +566,7 @@ mod tests {
         let sim = Simulator::new(intel_cpu());
         let first_leg = SimCache::new(sim.profile());
         let p = lowered();
-        let (a, hit) = first_leg.try_profile(&sim, &p).unwrap();
+        let (a, hit, _) = first_leg.try_profile(&sim, &p).unwrap();
         assert!(!hit);
         let keys = first_leg.accounted_keys();
         assert_eq!(keys, vec![first_leg.key(&p)]);
@@ -573,14 +576,14 @@ mod tests {
         // exactly what the uninterrupted run would have recorded.
         let second_leg = SimCache::new(sim.profile());
         second_leg.restore_accounted(&keys);
-        let (b, hit) = second_leg.try_profile(&sim, &p).unwrap();
+        let (b, hit, _) = second_leg.try_profile(&sim, &p).unwrap();
         assert!(hit, "restored key reads as a repeat");
         assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
         assert_eq!((second_leg.hits(), second_leg.misses()), (1, 0));
         // The restored key stays in the accounted set for further cuts.
         assert_eq!(second_leg.accounted_keys(), keys);
         // And later repeats hit through the warm table as usual.
-        let (_, hit) = second_leg.try_profile(&sim, &p).unwrap();
+        let (_, hit, _) = second_leg.try_profile(&sim, &p).unwrap();
         assert!(hit);
     }
 
@@ -616,7 +619,7 @@ mod tests {
         let a = {
             let cold = SimCache::new(sim.profile());
             cold.attach_store(Arc::new(Store::open(&path).expect("open")));
-            let (a, _) = cold.try_profile(&sim, &p).unwrap();
+            let (a, _, _) = cold.try_profile(&sim, &p).unwrap();
             let _ = cold.try_profile(&sim, &p).unwrap();
             assert_eq!((cold.store_hits(), cold.store_misses()), (0, 1));
             a
@@ -625,7 +628,7 @@ mod tests {
         // bits without simulating, with an unchanged memo transcript.
         let warm = SimCache::new(sim.profile());
         warm.attach_store(Arc::new(Store::open(&path).expect("reopen")));
-        let (b, hit) = warm.try_profile(&sim, &p).unwrap();
+        let (b, hit, _) = warm.try_profile(&sim, &p).unwrap();
         assert!(!hit, "memo transcript is store-independent");
         assert_eq!((warm.hits(), warm.misses()), (0, 1));
         assert_eq!((warm.store_hits(), warm.store_misses()), (1, 0));
@@ -718,5 +721,8 @@ mod tests {
             cache.key(&p),
             compose_cache_key(cache.profile_fp(), program_fingerprint(&p))
         );
+        // The fingerprint a lookup returns is the one its key hashed.
+        let (_, _, fp) = cache.try_profile(&Simulator::new(profile), &p).unwrap();
+        assert_eq!(fp, program_fingerprint(&p));
     }
 }

@@ -20,6 +20,10 @@
 //!   dependence-based race detection ([`race`]: `@par`/`@vec` axes must
 //!   not carry loop-carried dependences; parallelized reductions are
 //!   flagged).
+//! * [`PlanCheck`] — the same verification split for tuners that check
+//!   many programs under one plan: the plan-level work (legality and
+//!   the per-tensor pad and `store_at` facts) runs once, and
+//!   [`PlanCheck::verify`] walks only each program's groups.
 //!
 //! Every finding is a [`Diagnostic`] with a stable code from
 //! [`alt_error::codes`]; [`Diagnostic::to_error`] converts one into a
@@ -119,13 +123,38 @@ pub fn verify_program_with_stats(
     plan: &LayoutPlan,
     program: &Program,
 ) -> (Vec<Diagnostic>, VerifyStats) {
-    let mut stats = VerifyStats::default();
-    let mut diags = legality::check_plan(graph, plan);
-    diags.extend(wellformed::check_program_with_stats(
-        graph, plan, program, &mut stats,
-    ));
-    diags.extend(race::check_program_with_stats(program, &mut stats));
-    (sorted(diags), stats)
+    PlanCheck::new(graph, plan).verify(program)
+}
+
+/// The plan-level half of [`verify_program_with_stats`], computed once
+/// per (graph, plan) and shared by every program lowered under that
+/// plan: the legality findings and the per-tensor pad and `store_at`
+/// facts the well-formedness pass classifies buffers by.
+pub struct PlanCheck {
+    diags: Vec<Diagnostic>,
+    facts: wellformed::PlanFacts,
+}
+
+impl PlanCheck {
+    /// Runs the plan-level passes over `plan`.
+    pub fn new(graph: &Graph, plan: &LayoutPlan) -> Self {
+        PlanCheck {
+            diags: legality::check_plan(graph, plan),
+            facts: wellformed::PlanFacts::new(graph, plan),
+        }
+    }
+
+    /// Verifies a program lowered under this plan: well-formedness and
+    /// race freedom over its groups, together with the plan's own
+    /// findings, which an illegal plan repeats for every program.
+    /// Returns exactly what [`verify_program_with_stats`] returns.
+    pub fn verify(&self, program: &Program) -> (Vec<Diagnostic>, VerifyStats) {
+        let mut stats = VerifyStats::default();
+        let mut diags = self.diags.clone();
+        diags.extend(wellformed::check_program(&self.facts, program, &mut stats));
+        diags.extend(race::check_program_with_stats(program, &mut stats));
+        (sorted(diags), stats)
+    }
 }
 
 /// [`verify_program`] as a `Result`: `Err` carries the first (smallest

@@ -33,62 +33,87 @@ use alt_error::codes;
 use alt_layout::{LayoutPlan, LayoutPrim};
 use alt_loopir::{BufKind, Program, SExpr, Stmt, StoreMode, TirNode};
 use alt_tensor::expr::{Expr, Var};
-use alt_tensor::{Cond, Graph};
+use alt_tensor::{Cond, Graph, TensorId};
 
 use crate::interval::{self, Interval, Refinements};
 use crate::sets::{self, AccessQuery, SetVerdict, VerifyStats};
 use crate::Diagnostic;
 
-/// Per-buffer facts precomputed from the plan.
-struct BufFacts {
-    /// Buffers whose layout chain contains a `Pad` primitive.
-    padded: HashSet<usize>,
-    /// `store_at` hosts: buffer index -> (physical dim, reserved slot).
-    hosts: HashMap<usize, (usize, i64)>,
+/// Per-tensor facts of a layout plan that the pass classifies buffers
+/// by. They depend on the plan alone, so they are computed once per plan
+/// and shared by every program lowered under it.
+pub struct PlanFacts {
+    /// Tensors whose stored layout chain contains a `Pad` primitive.
+    padded: HashSet<TensorId>,
+    /// Tensors with at least one padding conversion. A converted copy
+    /// may serve several consumers with different layouts; "any
+    /// conversion of this tensor pads" is enough for diagnostic
+    /// classification.
+    padded_conversions: HashSet<TensorId>,
+    /// `store_at` hosts: tensor -> (physical dim, reserved slot).
+    hosts: HashMap<TensorId, (usize, i64)>,
 }
 
 fn layout_has_pad(prims: &[LayoutPrim]) -> bool {
     prims.iter().any(|p| matches!(p, LayoutPrim::Pad { .. }))
 }
 
-fn buf_facts(graph: &Graph, plan: &LayoutPlan, program: &Program) -> BufFacts {
-    let mut padded = HashSet::new();
-    for (k, decl) in program.buffers.iter().enumerate() {
-        let has_pad = match decl.kind {
-            BufKind::Tensor(t) => layout_has_pad(plan.layout_of(graph, t).prims()),
-            // A converted copy may serve several consumers with different
-            // layouts; "any conversion of this tensor pads" is enough for
-            // diagnostic classification.
-            BufKind::Converted(t) => plan
-                .conversions()
-                .iter()
-                .any(|c| c.tensor == t && layout_has_pad(c.layout.prims())),
-        };
-        if has_pad {
-            padded.insert(k);
+impl PlanFacts {
+    /// Collects the facts of `plan` over `graph`.
+    pub fn new(graph: &Graph, plan: &LayoutPlan) -> Self {
+        let padded = plan
+            .assigned()
+            .filter(|(_, l)| layout_has_pad(l.prims()))
+            .map(|(&t, _)| t)
+            .collect();
+        let padded_conversions = plan
+            .conversions()
+            .iter()
+            .filter(|c| layout_has_pad(c.layout.prims()))
+            .map(|c| c.tensor)
+            .collect();
+        let mut hosts = HashMap::new();
+        for (_, &(host, host_dim)) in plan.embeddings() {
+            // `store_at` only applies to identity layouts, so the
+            // reserved slot sits at physical position `host_dim` with
+            // index equal to the original extent. Anything more exotic
+            // is skipped here (and flagged by the plan legality pass).
+            let layout = plan.layout_of(graph, host);
+            if layout.prims() == [LayoutPrim::StoreAtHost { dim: host_dim }] {
+                let reserved = graph.tensor(host).shape.dim(host_dim);
+                hosts.insert(host, (host_dim, reserved));
+            }
+        }
+        PlanFacts {
+            padded,
+            padded_conversions,
+            hosts,
         }
     }
-    let mut hosts = HashMap::new();
-    for (_, &(host, host_dim)) in plan.embeddings() {
-        let Some(buf) = program.buffer_for_tensor(host) else {
-            continue;
-        };
-        // `store_at` only applies to identity layouts, so the reserved
-        // slot sits at physical position `host_dim` with index equal to
-        // the original extent. Anything more exotic is skipped here (and
-        // flagged by the plan legality pass).
-        let layout = plan.layout_of(graph, host);
-        if layout.prims() == [LayoutPrim::StoreAtHost { dim: host_dim }] {
-            let reserved = graph.tensor(host).shape.dim(host_dim);
-            hosts.insert(buf.0, (host_dim, reserved));
+
+    /// Whether buffer `buf` of `program` is stored through a padding
+    /// layout.
+    fn padded(&self, program: &Program, buf: usize) -> bool {
+        match program.buffers.get(buf).map(|d| &d.kind) {
+            Some(BufKind::Tensor(t)) => self.padded.contains(t),
+            Some(BufKind::Converted(t)) => self.padded_conversions.contains(t),
+            None => false,
         }
     }
-    BufFacts { padded, hosts }
+
+    /// The reserved `store_at` slot of buffer `buf`, when it holds a
+    /// host tensor.
+    fn host_slot(&self, program: &Program, buf: usize) -> Option<(usize, i64)> {
+        match program.buffers.get(buf).map(|d| &d.kind) {
+            Some(BufKind::Tensor(t)) => self.hosts.get(t).copied(),
+            _ => None,
+        }
+    }
 }
 
 struct Walker<'a> {
     program: &'a Program,
-    facts: BufFacts,
+    facts: &'a PlanFacts,
     group: String,
     /// Live bindings: variable id -> loop extent.
     env: HashMap<u32, i64>,
@@ -253,7 +278,7 @@ impl Walker<'_> {
 
     /// Flags stores that can touch a `store_at` host's reserved slot.
     fn check_host_slot(&mut self, s: &Stmt, map: &Refinements, pred: Option<&Cond>) {
-        let Some(&(dim, reserved)) = self.facts.hosts.get(&s.buf.0) else {
+        let Some((dim, reserved)) = self.facts.host_slot(self.program, s.buf.0) else {
             return;
         };
         let Some(idx) = s.indices.get(dim) else {
@@ -342,7 +367,7 @@ impl Walker<'_> {
     ) {
         let decl = &self.program.buffers[buf];
         let (oob_code, what) = if read {
-            if self.facts.padded.contains(&buf) {
+            if self.facts.padded(self.program, buf) {
                 (codes::V007_PAD_UNDERCOVERS, "load")
             } else {
                 (codes::V004_OOB_READ, "load")
@@ -414,16 +439,11 @@ impl Walker<'_> {
     }
 }
 
-/// Runs the well-formedness pass over every lowered group.
-pub fn check_program(graph: &Graph, plan: &LayoutPlan, program: &Program) -> Vec<Diagnostic> {
-    let mut stats = VerifyStats::default();
-    check_program_with_stats(graph, plan, program, &mut stats)
-}
-
-/// [`check_program`], folding set-engine counters into `stats`.
-pub fn check_program_with_stats(
-    graph: &Graph,
-    plan: &LayoutPlan,
+/// Runs the well-formedness pass over every lowered group of `program`
+/// against the facts of the plan it was lowered under, folding
+/// set-engine counters into `stats`.
+pub fn check_program(
+    facts: &PlanFacts,
     program: &Program,
     stats: &mut VerifyStats,
 ) -> Vec<Diagnostic> {
@@ -431,7 +451,7 @@ pub fn check_program_with_stats(
     for group in &program.groups {
         let mut w = Walker {
             program,
-            facts: buf_facts(graph, plan, program),
+            facts,
             group: group.label.clone(),
             env: HashMap::new(),
             diags: Vec::new(),
