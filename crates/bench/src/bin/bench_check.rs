@@ -10,7 +10,10 @@
 //! entry is compared with its previous entry instead, metric by metric
 //! for every end-to-end metric `BENCHMARK.json` declares (read from the
 //! candidate directory's parent, never written). A move worse than that
-//! metric's bound is flagged and fails the gate like a regression.
+//! metric's bound is flagged and fails the gate like a regression, and so
+//! is a bounded metric (or a whole workload) that the previous entry
+//! recorded and the newest one drops, unless the newest entry names it in
+//! its `retired` list.
 //!
 //! Metric direction is by naming convention (see
 //! `alt_bench::BenchReport::note_metric`): names containing `latency`
@@ -64,7 +67,9 @@ fn parse_args() -> Result<Args, String> {
                      regress by more than FRAC (default 0.05) in geometric mean.\n\
                      Per-workload trajectories (BENCH_perfbench.json) compare their\n\
                      newest entry with the previous one instead and fail on a move\n\
-                     worse than the metric's bound in BENCHMARK.json.\n\
+                     worse than the metric's bound in BENCHMARK.json, or on a\n\
+                     metric or workload the newest entry drops without naming it\n\
+                     in its `retired` list.\n\
                      --report-only prints the comparison but always exits 0."
                 );
                 std::process::exit(0);
@@ -135,15 +140,18 @@ struct Move {
     workload: String,
     metric: String,
     previous: f64,
-    newest: f64,
-    /// Worse than the metric's bound.
+    /// `None` when the newest entry dropped the metric or its workload.
+    newest: Option<f64>,
+    /// Worse than the metric's bound, or dropped without being retired.
     flagged: bool,
 }
 
 /// The newest entry of a per-workload trajectory against the previous
-/// one, for every bounded metric both entries record. `None` when the
-/// document is not a per-workload trajectory or has fewer than two
-/// entries.
+/// one, for every bounded metric the previous entry records. A metric
+/// the newest entry lacks (on its own or with its whole workload) is a
+/// flagged move unless the newest entry's `retired` list names the
+/// metric or the workload. `None` when the document is not a
+/// per-workload trajectory or has fewer than two entries.
 fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
     let entries = doc.get("entries")?.as_array()?;
     let [.., previous, newest] = entries.as_slice() else {
@@ -153,21 +161,25 @@ fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
         previous.get("workloads")?.as_object()?,
         newest.get("workloads")?.as_object()?,
     );
+    let retired: Vec<&str> = newest
+        .get("retired")
+        .and_then(Value::as_array)
+        .map(|keys| keys.iter().filter_map(Value::as_str).collect())
+        .unwrap_or_default();
+    let metric = |w: &Value, name: &str| w.get("metrics")?.get(name)?.as_f64();
     let mut moves = Vec::new();
-    for (workload, w) in new {
-        let metric = |w: &Value, name: &str| w.get("metrics")?.get(name)?.as_f64();
+    for (workload, p) in prev {
         for b in bounds {
-            let (Some(newest), Some(previous)) = (
-                metric(w, &b.name),
-                prev.get(workload).and_then(|p| metric(p, &b.name)),
-            ) else {
+            let Some(previous) = metric(p, &b.name) else {
                 continue;
             };
-            let ratio = newest / previous;
-            let flagged = if b.lower_is_better {
-                ratio > 1.0 + b.bound
-            } else {
-                ratio < 1.0 - b.bound
+            let newest = new.get(workload).and_then(|w| metric(w, &b.name));
+            let flagged = match newest {
+                Some(v) if b.lower_is_better => v / previous > 1.0 + b.bound,
+                Some(v) => v / previous < 1.0 - b.bound,
+                None => {
+                    !retired.contains(&b.name.as_str()) && !retired.contains(&workload.as_str())
+                }
             };
             moves.push(Move {
                 workload: workload.clone(),
@@ -202,12 +214,24 @@ fn report_trajectory(name: &str, doc: &Value, bounds: &[Bound]) -> bool {
         label(1)
     );
     for m in &moves {
-        let ratio = m.newest / m.previous;
-        let verdict = if m.flagged { "  WORSE THAN BOUND" } else { "" };
-        println!(
-            "    {:<10} {:<16} {:.4} -> {:.4}  (x{ratio:.3}){verdict}",
-            m.workload, m.metric, m.previous, m.newest
-        );
+        let (workload, metric, previous) = (&m.workload, &m.metric, m.previous);
+        match m.newest {
+            Some(newest) => {
+                let ratio = newest / previous;
+                let verdict = if m.flagged { "  WORSE THAN BOUND" } else { "" };
+                println!(
+                    "    {workload:<10} {metric:<16} {previous:.4} -> {newest:.4}  (x{ratio:.3}){verdict}"
+                );
+            }
+            None => {
+                let verdict = if m.flagged {
+                    "DROPPED, not retired"
+                } else {
+                    "retired"
+                };
+                println!("    {workload:<10} {metric:<16} {previous:.4} -> none  ({verdict})");
+            }
+        }
     }
     moves.iter().any(|m| m.flagged)
 }
@@ -394,10 +418,85 @@ mod tests {
         let moves = trajectory_moves(&doc, &bounds).expect("two entries or more");
         // `setup_s` is in neither entry, so two moves, against `b`.
         assert_eq!(moves.len(), 2);
-        assert_eq!((moves[0].previous, moves[0].newest), (18.0, 7.0));
+        assert_eq!((moves[0].previous, moves[0].newest), (18.0, Some(7.0)));
         assert!(!moves[0].flagged, "a faster compile is no regression");
         assert!(moves[1].flagged, "+16% RSS exceeds its 15% bound");
         let single = parse(&format!(r#"{{"entries": [{}]}}"#, entry("a", 1.0, 1.0)));
         assert!(trajectory_moves(&single, &bounds).is_none());
+    }
+
+    fn spec_bounds() -> Vec<Bound> {
+        bounds(&parse(
+            r#"{"end_to_end": [
+                {"name": "compile_s", "better": "lower", "bound": 0.25},
+                {"name": "native_pass_ms", "better": "lower", "bound": 0.25}
+            ]}"#,
+        ))
+    }
+
+    #[test]
+    fn a_dropped_metric_is_flagged() {
+        let doc = parse(
+            r#"{"entries": [
+                {"workloads": {"tune-nets": {"metrics": {"compile_s": 5.0, "native_pass_ms": 2500.0}}}},
+                {"workloads": {"tune-nets": {"metrics": {"compile_s": 5.0}}}}
+            ]}"#,
+        );
+        let moves = trajectory_moves(&doc, &spec_bounds()).expect("two entries");
+        assert_eq!(moves.len(), 2);
+        assert!(!moves[0].flagged);
+        let dropped = &moves[1];
+        assert_eq!(
+            (dropped.metric.as_str(), dropped.newest),
+            ("native_pass_ms", None)
+        );
+        assert!(
+            dropped.flagged,
+            "a metric the newest entry lacks fails the gate"
+        );
+    }
+
+    #[test]
+    fn a_dropped_workload_is_flagged() {
+        let doc = parse(
+            r#"{"entries": [
+                {"workloads": {
+                    "tune-nets": {"metrics": {"compile_s": 5.0}},
+                    "warm-start": {"metrics": {"compile_s": 0.03, "native_pass_ms": 250.0}}
+                }},
+                {"workloads": {"tune-nets": {"metrics": {"compile_s": 5.0}}}}
+            ]}"#,
+        );
+        let moves = trajectory_moves(&doc, &spec_bounds()).expect("two entries");
+        let dropped: Vec<&Move> = moves
+            .iter()
+            .filter(|m| m.workload == "warm-start")
+            .collect();
+        assert_eq!(dropped.len(), 2, "every metric of the dropped workload");
+        assert!(dropped.iter().all(|m| m.newest.is_none() && m.flagged));
+        assert!(moves
+            .iter()
+            .any(|m| m.workload == "tune-nets" && !m.flagged));
+    }
+
+    #[test]
+    fn a_retired_key_is_not_flagged() {
+        let doc = parse(
+            r#"{"entries": [
+                {"workloads": {
+                    "tune-nets": {"metrics": {"compile_s": 5.0, "native_pass_ms": 2500.0}},
+                    "warm-start": {"metrics": {"compile_s": 0.03}}
+                }},
+                {"retired": ["native_pass_ms", "warm-start"],
+                 "workloads": {"tune-nets": {"metrics": {"compile_s": 5.0}}}}
+            ]}"#,
+        );
+        let moves = trajectory_moves(&doc, &spec_bounds()).expect("two entries");
+        assert_eq!(moves.len(), 3);
+        assert!(
+            moves.iter().all(|m| !m.flagged),
+            "retired keys pass the gate"
+        );
+        assert_eq!(moves.iter().filter(|m| m.newest.is_none()).count(), 2);
     }
 }

@@ -2,13 +2,28 @@
 //!
 //! The compiler walks the TIR loop tree once. Every symbolic integer
 //! expression (store offsets, load offsets, predicate operands) is
-//! flattened against the physical buffer strides into a single `Expr`,
-//! then compiled to three-address [`IOp`]s with hash-consing CSE: the
-//! `Expr` type is hash-comparable, so structurally equal subexpressions
-//! share one register. Each op is *placed* in the prologue of the loop
-//! whose variable is its deepest dependency — outer-loop-invariant index
-//! math is computed once per outer iteration instead of once per element,
-//! which is where most of the interpreter's time went.
+//! flattened against the physical buffer strides into a single `Expr`
+//! and simplified against the ranges of the loops around it
+//! ([`LoopRanges`]): each `floordiv`, `mod`, `min`, `max` and comparison
+//! the ranges decide folds, split quotients and remainders reduce
+//! (`(k·x + y) / (k·m)` to `x / m`, `(k·x + y) mod (k·m)` to
+//! `k·(x mod m) + y`, when `0 ≤ y < k`), and the offset's terms are
+//! summed outermost loop first, so that partial sums hoist. A store
+//! predicate or `Select` condition the ranges decide disappears: the
+//! statement keeps only the arm the interpreter would take. The
+//! simplified form is equal to the original at every point the loops
+//! visit, so every access touches the same slot as before; what changes
+//! is that the tuned winners' offsets become affine in their `@vec`
+//! variable, which lets `vec_body` give those loops the stride fast
+//! path and, for `out += a · b`, the typed multiply-accumulate loop.
+//!
+//! The simplified expressions are compiled to three-address [`IOp`]s
+//! with hash-consing CSE: the `Expr` type is hash-comparable, so
+//! structurally equal subexpressions share one register. Each op is
+//! *placed* in the prologue of the loop whose variable is its deepest
+//! dependency — outer-loop-invariant index math is computed once per
+//! outer iteration instead of once per element, which is where most of
+//! the interpreter's time went.
 //!
 //! CSE entries are scoped: when a loop is popped, every expression whose
 //! defining op lives in that loop's prologue is evicted (its register is
@@ -20,12 +35,13 @@
 use std::collections::HashMap;
 
 use alt_loopir::tir::{BufId, Program, SExpr, Stmt, TirNode};
-use alt_loopir::LoopKind;
+use alt_loopir::{LoopKind, StoreMode};
 use alt_sim::MachineProfile;
 use alt_tensor::expr::{BinOp, Expr};
-use alt_tensor::op::Cond;
+use alt_tensor::op::{Cond, ScalarBinOp};
+use alt_tensor::range::{Folded, LoopRanges};
 
-use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, IOp, NativeKernel, VecBody};
+use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, IOp, Mac, NativeKernel, Strided, VecBody};
 
 /// Symbolic side table of one compiled statement, kept only during
 /// compilation to drive the vector-chunk eligibility analysis.
@@ -34,8 +50,8 @@ struct StmtSym {
     store_off: Expr,
     /// `(fop index, flattened offset expression)` per load.
     loads: Vec<(usize, Expr)>,
-    /// Every condition the statement consults: the store predicate plus
-    /// all `Select` conditions.
+    /// Every condition the statement consults that the loop ranges do
+    /// not decide: the store predicate plus `Select` conditions.
     conds: Vec<Cond>,
     /// Length of the statement's float program.
     fops_len: usize,
@@ -70,6 +86,8 @@ struct Compiler {
     memo: HashMap<Expr, (u32, usize)>,
     /// Scope stack; index 0 is the group root and never pops.
     scopes: Vec<Scope>,
+    /// Ranges of the loop variables in scope, for simplification.
+    ranges: LoopRanges,
 }
 
 impl Compiler {
@@ -145,16 +163,17 @@ impl Compiler {
     }
 
     /// Flattens multi-dimensional physical indices into one offset
-    /// expression against the buffer's row-major strides. The `Expr`
-    /// smart constructors constant-fold, so layouts with constant index
-    /// components collapse at compile time.
+    /// expression against the buffer's row-major strides, simplified
+    /// against the enclosing loops' ranges: split quotients and
+    /// remainders reduce, decided `min`/`max`/`mod` fold, and terms are
+    /// summed outermost loop first so partial sums hoist.
     fn flat_offset(&self, buf: BufId, indices: &[Expr]) -> Expr {
         let strides = &self.strides[buf.0];
         let mut off = Expr::c(0);
         for (e, &s) in indices.iter().zip(strides) {
             off = off.add(&e.mul_c(s));
         }
-        off
+        self.ranges.simplify(&off)
     }
 
     /// Compiles a scalar body to a stack program in recursive-descent
@@ -182,8 +201,15 @@ impl Compiler {
                 fops.push(FOp::Un(*op));
             }
             SExpr::Select { cond, then_, else_ } => {
-                sym.conds.push(cond.clone());
-                let (creg, _) = self.compile_cond(cond);
+                // A condition the loop ranges decide compiles to its
+                // taken arm alone, as the interpreter would evaluate it.
+                let cond = match self.ranges.simplify_cond(cond) {
+                    Folded::Always => return self.compile_sexpr(then_, fops, sym),
+                    Folded::Never => return self.compile_sexpr(else_, fops, sym),
+                    Folded::Open(cond) => cond,
+                };
+                let (creg, _) = self.compile_cond(&cond);
+                sym.conds.push(cond);
                 let jz = fops.len();
                 fops.push(FOp::JumpIfZero { cond: creg, to: 0 });
                 self.compile_sexpr(then_, fops, sym);
@@ -211,10 +237,17 @@ impl Compiler {
             conds: Vec::new(),
             fops_len: 0,
         };
-        let pred = s.pred.as_ref().map(|c| {
-            sym.conds.push(c.clone());
-            self.compile_cond(c).0
-        });
+        // An always-true predicate is dropped; an always-false one stays
+        // as a constant 0 so the statement keeps its invalid-slot effect.
+        let pred = match s.pred.as_ref().map(|c| self.ranges.simplify_cond(c)) {
+            None | Some(Folded::Always) => None,
+            Some(Folded::Never) => Some(self.const_reg(0)),
+            Some(Folded::Open(c)) => {
+                let reg = self.compile_cond(&c).0;
+                sym.conds.push(c);
+                Some(reg)
+            }
+        };
         let mut fops = Vec::new();
         self.compile_sexpr(&s.value, &mut fops, &mut sym);
         sym.fops_len = fops.len();
@@ -250,17 +283,20 @@ impl Compiler {
                     self.var_regs.insert(var.id(), var_reg);
                     self.var_scope.insert(var.id(), self.scopes.len());
                     self.scopes.push(Scope::new());
+                    self.ranges.push(var.id(), *extent);
                     let (cbody, bsyms) = self.compile_nodes(body);
+                    self.ranges.pop();
                     let scope = self.scopes.pop().expect("scope pushed above");
                     for key in &scope.owned {
                         self.memo.remove(key);
                     }
                     self.var_regs.remove(&var.id());
                     self.var_scope.remove(&var.id());
-                    let vec = if *kind == LoopKind::Vectorized && cbody.len() == 1 {
-                        bsyms[0].as_ref().and_then(|sym| vec_body(var.id(), sym))
-                    } else {
-                        None
+                    let vec = match (&cbody[..], &bsyms[..]) {
+                        ([CNode::Stmt(s)], [Some(sym)]) if *kind == LoopKind::Vectorized => {
+                            vec_body(var.id(), s, sym)
+                        }
+                        _ => None,
                     };
                     out.push(CNode::Loop(CLoop {
                         var_reg,
@@ -324,7 +360,9 @@ fn cond_uses_var(c: &Cond, var: u32) -> bool {
 /// offsets affine in the loop variable, no predicate or `Select`
 /// condition depending on it. Lanes then differ only by fixed offset
 /// strides, so the executor can run the integer prologue once per chunk.
-fn vec_body(var: u32, sym: &StmtSym) -> Option<VecBody> {
+/// A body `out += a · b` over two loads also gets the typed
+/// multiply-accumulate lane loop.
+fn vec_body(var: u32, s: &CStmt, sym: &StmtSym) -> Option<VecBody> {
     if sym.conds.iter().any(|c| cond_uses_var(c, var)) {
         return None;
     }
@@ -333,9 +371,29 @@ fn vec_body(var: u32, sym: &StmtSym) -> Option<VecBody> {
     for (idx, e) in &sym.loads {
         load_strides[*idx] = affine_stride(e, var)?;
     }
+    let mac = match s.fops[..] {
+        [FOp::Load { buf: a, off: oa }, FOp::Load { buf: b, off: ob }, FOp::Bin(ScalarBinOp::Mul)]
+            if s.mode == StoreMode::AddAcc =>
+        {
+            Some(Mac {
+                a: Strided {
+                    buf: a,
+                    off: oa,
+                    stride: load_strides[0],
+                },
+                b: Strided {
+                    buf: b,
+                    off: ob,
+                    stride: load_strides[1],
+                },
+            })
+        }
+        _ => None,
+    };
     Some(VecBody {
         store_stride,
         load_strides,
+        mac,
     })
 }
 
@@ -352,6 +410,7 @@ pub fn compile(program: &Program, profile: &MachineProfile) -> NativeKernel {
         var_scope: HashMap::new(),
         memo: HashMap::new(),
         scopes: vec![Scope::new()],
+        ranges: LoopRanges::new(),
     };
     let mut groups = Vec::with_capacity(program.groups.len());
     for g in &program.groups {

@@ -3,13 +3,17 @@
 //! The executor interprets the compiled instruction streams directly —
 //! integer prologues into a flat register file, statement bodies on a
 //! reusable value stack — touching buffers only through precomputed flat
-//! offsets. Three loop strategies exist:
+//! offsets. Four loop strategies exist:
 //!
 //! * **Scalar**: bind the loop register, run the prologue, run the body.
 //! * **Vector chunk** (`@vec` fast path): run the prologue once per
 //!   SIMD-width chunk and step the offset registers by their affine
 //!   strides per lane, evaluating lanes *in order* so reduction bits
 //!   match the interpreter.
+//! * **Typed multiply-accumulate** (a fast-path loop whose statement is
+//!   `out += a · b`): run the prologue once and walk three `f32`
+//!   pointers by their strides over the whole extent, each lane doing
+//!   the stack program's loads, multiply, add and store in its order.
 //! * **Parallel** (`@par`): split the iteration space into contiguous
 //!   ranges on scoped threads. Lowering marks only spatial loops
 //!   parallel, so ranges write disjoint slots and per-slot accumulation
@@ -27,11 +31,11 @@ use std::time::Instant;
 use alt_layout::LayoutPlan;
 use alt_loopir::tir::Program;
 use alt_loopir::{pack_buffers, unpack_buffers, StoreMode};
-use alt_tensor::expr::BinOp;
 use alt_tensor::op::ScalarBinOp;
+use alt_tensor::range::Code;
 use alt_tensor::{Graph, NdBuf, TensorId};
 
-use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, IOp, NativeKernel, VecBody};
+use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, IOp, Mac, NativeKernel, VecBody};
 
 /// Wall-clock accounting of one native run.
 #[derive(Clone, Debug)]
@@ -83,6 +87,22 @@ impl Bufs {
         unsafe { *s.ptr.add(off as usize) }
     }
 
+    /// The base pointer of `buf` for a walk of `n` lanes from `off` by
+    /// `stride`, after checking (in every build: once per walk, not per
+    /// lane) that the first and last lanes, and so every lane between,
+    /// lie inside the buffer.
+    #[inline]
+    fn lanes(&self, buf: u32, off: i64, stride: i64, n: i64) -> *mut f32 {
+        let s = &self.slots[buf as usize];
+        let last = off + (n - 1) * stride;
+        assert!(
+            n <= 0 || off.min(last) >= 0 && (off.max(last) as usize) < s.len,
+            "lanes {off}..={last} out of bounds for buffer {buf} (len {})",
+            s.len
+        );
+        s.ptr
+    }
+
     #[inline]
     fn write(&self, buf: u32, off: i64, v: f32) {
         let s = &self.slots[buf as usize];
@@ -102,19 +122,6 @@ struct ThreadState {
 }
 
 #[inline]
-fn apply_ibin(op: BinOp, x: i64, y: i64) -> i64 {
-    match op {
-        BinOp::Add => x + y,
-        BinOp::Sub => x - y,
-        BinOp::Mul => x * y,
-        BinOp::FloorDiv => x.div_euclid(y),
-        BinOp::Mod => x.rem_euclid(y),
-        BinOp::Min => x.min(y),
-        BinOp::Max => x.max(y),
-    }
-}
-
-#[inline]
 fn apply_fbin(op: ScalarBinOp, x: f32, y: f32) -> f32 {
     match op {
         ScalarBinOp::Add => x + y,
@@ -131,7 +138,7 @@ fn run_iops(ops: &[IOp], regs: &mut [i64]) {
     for op in ops {
         match *op {
             IOp::Bin { op, dst, a, b } => {
-                regs[dst as usize] = apply_ibin(op, regs[a as usize], regs[b as usize]);
+                regs[dst as usize] = Code::Bin(op).apply(regs[a as usize], regs[b as usize]);
             }
             IOp::Ge { dst, a, b } => {
                 regs[dst as usize] = i64::from(regs[a as usize] >= regs[b as usize]);
@@ -224,6 +231,9 @@ impl Runner<'_> {
         let Some(CNode::Stmt(s)) = l.body.first() else {
             unreachable!("vec fast path requires a single-statement body");
         };
+        if let Some(m) = &v.mac {
+            return self.run_mac(l, s, v.store_stride, m, st);
+        }
         let w = i64::from(l.lanes);
         let mut base = 0;
         while base < l.extent {
@@ -234,6 +244,44 @@ impl Runner<'_> {
                 self.run_stmt(s, st, Some((lane, v)));
             }
             base += w;
+        }
+    }
+
+    /// The typed multiply-accumulate lane loop. The offsets are affine in
+    /// the loop variable, so the prologue runs once, at lane 0, and every
+    /// lane steps the three offsets by their strides. Lanes run in order,
+    /// and each reads `a`, reads `b`, multiplies, reads the old value,
+    /// adds and stores, exactly as the stack program does.
+    fn run_mac(&self, l: &CLoop, s: &CStmt, store_stride: i64, m: &Mac, st: &mut ThreadState) {
+        st.regs[l.var_reg as usize] = 0;
+        run_iops(&l.prologue, &mut st.regs);
+        // The predicate does not depend on the lane: a false one skips
+        // every lane's accumulation.
+        if s.pred.is_some_and(|p| st.regs[p as usize] == 0) {
+            return;
+        }
+        let n = l.extent;
+        let (mut oo, mut oa, mut ob) = (
+            st.regs[s.off as usize],
+            st.regs[m.a.off as usize],
+            st.regs[m.b.off as usize],
+        );
+        let po = self.bufs.lanes(s.buf, oo, store_stride, n);
+        let pa = self.bufs.lanes(m.a.buf, oa, m.a.stride, n);
+        let pb = self.bufs.lanes(m.b.buf, ob, m.b.stride, n);
+        for _ in 0..n {
+            // SAFETY: every lane's offset lies between the first and the
+            // last, which `lanes` checked against each buffer's length;
+            // parallel workers write disjoint slots (see `Bufs`).
+            unsafe {
+                let x = *pa.offset(oa as isize);
+                let y = *pb.offset(ob as isize);
+                let o = po.offset(oo as isize);
+                *o += x * y;
+            }
+            oo += store_stride;
+            oa += m.a.stride;
+            ob += m.b.stride;
         }
     }
 

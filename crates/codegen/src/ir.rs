@@ -85,6 +85,33 @@ pub struct VecBody {
     pub store_stride: i64,
     /// Stride per [`FOp`] position (non-`Load` positions hold 0).
     pub load_strides: Vec<i64>,
+    /// The typed multiply-accumulate lane loop; `Some` when the statement
+    /// is `AddAcc` of `Load × Load`, the shape of nearly every reduction
+    /// the tuner emits.
+    pub mac: Option<Mac>,
+}
+
+/// A multiply-accumulate body `out += a · b`, run as a typed loop over
+/// `f32` pointers and strides instead of the stack program. Each lane
+/// performs the stack program's loads, multiply, load of the old value,
+/// add and store in the same order, so the result is bit-identical.
+#[derive(Clone, Copy, Debug)]
+pub struct Mac {
+    /// The first load (the multiply's left operand).
+    pub a: Strided,
+    /// The second load (the multiply's right operand).
+    pub b: Strided,
+}
+
+/// One strided load of a [`Mac`] body.
+#[derive(Clone, Copy, Debug)]
+pub struct Strided {
+    /// Source buffer index.
+    pub buf: u32,
+    /// Register holding the lane-0 offset.
+    pub off: u32,
+    /// Offset step per lane.
+    pub stride: i64,
 }
 
 /// A compiled loop nest node.
@@ -150,6 +177,8 @@ pub struct KernelStats {
     pub fops: usize,
     /// Loops taking the order-preserving vector fast path.
     pub vec_loops: usize,
+    /// Fast-path loops that run as typed multiply-accumulate lane loops.
+    pub typed_loops: usize,
     /// Loops marked parallel.
     pub par_loops: usize,
 }
@@ -163,8 +192,9 @@ impl NativeKernel {
                     CNode::Stmt(st) => s.fops += st.fops.len(),
                     CNode::Loop(l) => {
                         s.iops += l.prologue.len();
-                        if l.vec.is_some() {
+                        if let Some(v) = &l.vec {
                             s.vec_loops += 1;
+                            s.typed_loops += usize::from(v.mac.is_some());
                         }
                         if l.parallel {
                             s.par_loops += 1;

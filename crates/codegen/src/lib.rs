@@ -27,10 +27,34 @@
 //!    spatial (output-partitioning) loops parallel, so threads write
 //!    disjoint slots and each slot's accumulation order is unchanged.
 //!
-//! Index arithmetic is hoisted: every integer expression is compiled once
-//! into a three-address op placed at the loop level of its deepest
-//! variable dependency, with hash-consing CSE, so an expression like
-//! `(i / 8) * 64` is recomputed only when `i` changes — not per element.
+//! Index arithmetic is simplified, then hoisted. Every flattened offset
+//! and condition is first simplified against the ranges of its enclosing
+//! loops ([`alt_tensor::range`], the same interval rules the layout
+//! walks use): decided `floordiv`, `mod`, `min`, `max` and comparisons
+//! fold, split quotients and remainders reduce (`(k·x + y) / (k·m)` to
+//! `x / m` when `0 ≤ y < k`), and terms are summed outermost loop first.
+//! Each integer expression is then compiled once into a three-address op
+//! placed at the loop level of its deepest variable dependency, with
+//! hash-consing CSE, so an expression like `(i / 8) * 64` is recomputed
+//! only when `i` changes — not per element.
+//!
+//! Two more properties keep the contract with these speed-ups:
+//!
+//! 4. **Range folding is exact on the loops' ranges.** Every offset and
+//!    condition takes the same value at every point the loops visit, so
+//!    each load and store touches the same slot, and a `Select` whose
+//!    condition the ranges decide compiles to the arm the interpreter
+//!    takes there. What folding changes is which offsets are affine in an
+//!    `@vec` variable: a tiled layout's `(o·2 + i) / 16` becomes a
+//!    stride, so the vector fast path of property 2 reaches the tuned
+//!    winners' reduction loops.
+//! 5. **The typed multiply-accumulate loop does the stack program's work
+//!    in its order.** A fast-path loop whose statement is `out += a · b`
+//!    runs over `f32` pointers and strides; each lane loads `a`, loads
+//!    `b`, multiplies, loads the old value, adds and stores, in lane
+//!    order, and Rust never contracts a multiply and an add into a fused
+//!    multiply-add. The stack program stays the fallback for every other
+//!    statement shape.
 
 pub mod compile;
 pub mod exec;

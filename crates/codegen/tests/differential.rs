@@ -10,8 +10,9 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use alt_codegen::compile;
+use alt_codegen::ir::{CLoop, CNode, NativeKernel};
 use alt_layout::{presets, Layout, LayoutPlan, LayoutPrim, PropagationMode};
-use alt_loopir::{lower, run_program, AxisTiling, GraphSchedule, OpSchedule, Program};
+use alt_loopir::{lower, run_program, AxisTiling, GraphSchedule, OpSchedule, Program, StoreMode};
 use alt_models::all_models;
 use alt_sim::{all_profiles, MachineProfile};
 use alt_tensor::exec::random_bindings;
@@ -247,6 +248,124 @@ fn vec_fast_path_and_parallel_loops_are_present() {
     assert!(stats.vec_loops > 0, "no vector fast-path loops: {stats:?}");
     assert!(stats.par_loops > 0, "no parallel loops: {stats:?}");
     assert!(stats.iops > 0 && stats.fops > 0);
+}
+
+/// Loops whose body is one accumulating statement: the reduction loops,
+/// where native time goes.
+fn acc_loops(kernel: &NativeKernel) -> Vec<&CLoop> {
+    fn walk<'k>(nodes: &'k [CNode], out: &mut Vec<&'k CLoop>) {
+        for n in nodes {
+            if let CNode::Loop(l) = n {
+                if let [CNode::Stmt(s)] = &l.body[..] {
+                    if s.mode == StoreMode::AddAcc {
+                        out.push(l);
+                    }
+                }
+                walk(&l.body, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for g in &kernel.groups {
+        walk(&g.nodes, &mut out);
+    }
+    out
+}
+
+/// Asserts bit-identity with the interpreter on every profile, and that
+/// every accumulation loop runs as a typed multiply-accumulate loop.
+fn assert_typed_and_bit_identical(
+    program: &Program,
+    g: &Graph,
+    plan: &LayoutPlan,
+    bindings: &HashMap<TensorId, NdBuf>,
+    what: &str,
+) {
+    for p in all_profiles() {
+        assert_bit_identical(program, g, plan, bindings, &p, 4, what);
+        let kernel = compile(program, &p);
+        let hot = acc_loops(&kernel);
+        assert!(!hot.is_empty(), "{what}: no accumulation loop");
+        for l in hot {
+            assert!(
+                l.vec.as_ref().is_some_and(|v| v.mac.is_some()),
+                "{what} on {}: an accumulation loop is not typed ({:?})",
+                p.name,
+                kernel.stats()
+            );
+        }
+        assert!(kernel.stats().typed_loops > 0);
+    }
+}
+
+#[test]
+fn gmm_with_tiled_weight_runs_its_reduction_typed() {
+    // The weight's `(K/8) (N/16) 8 16` layout puts the vectorized `n.i`
+    // under `/ 16` and `mod 16`. With `n.i` in [0, 8) the loop ranges
+    // reduce both to strides in `n.i`, so the reduction loop is affine
+    // and takes the typed multiply-accumulate path.
+    let (g, _, op, _) = gmm_graph(8, 16, 32);
+    let b = g.node(op).inputs[1];
+    let mut plan = LayoutPlan::new(PropagationMode::Full);
+    plan.assign_input_layout(
+        &g,
+        op,
+        b,
+        presets::gmm_tiled(g.tensor(b).shape.clone(), 8, 16).unwrap(),
+    );
+    let mut sched = GraphSchedule::naive();
+    sched.set(
+        op,
+        OpSchedule {
+            spatial: vec![AxisTiling::one(2), AxisTiling::one(8)],
+            reduce: vec![AxisTiling::one(4)],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    let bindings = random_bindings(&g, 11);
+    assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "tiled-weight gmm");
+}
+
+#[test]
+fn conv_vectorized_on_a_split_output_channel_runs_typed() {
+    // `@vec` lands on `o.i`, the inner half of a split output channel.
+    // The weight's `(O/8) (I/4) KH KW 4 8` layout puts `o.o·4 + o.i`
+    // under `/ 8` and `mod 8`, which the loop ranges reduce to strides in
+    // `o.i`.
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new([1, 8, 6, 6]));
+    let w = g.add_param("w", Shape::new([16, 8, 3, 3]));
+    let y = ops::conv2d(&mut g, x, w, ConvCfg::default());
+    let conv = g.tensor(y).producer.unwrap();
+    let mut plan = LayoutPlan::new(PropagationMode::Full);
+    plan.assign_output_layout(&g, conv, presets::nhwo(g.tensor(y).shape.clone()).unwrap());
+    plan.assign_input_layout(
+        &g,
+        conv,
+        w,
+        presets::c2d_weight_tiled(g.tensor(w).shape.clone(), 4, 8).unwrap(),
+    );
+    let mut sched = GraphSchedule::naive();
+    sched.set(
+        conv,
+        OpSchedule {
+            spatial: vec![
+                AxisTiling::none(),
+                AxisTiling::one(2),
+                AxisTiling::none(),
+                AxisTiling::one(4),
+            ],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    let bindings = random_bindings(&g, 12);
+    assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "split-channel conv");
 }
 
 /// Model graphs end to end (prefix-truncated so the interpreter side

@@ -244,8 +244,10 @@ SUBCOMMANDS:
 /// `altc run`: compile a model and execute it on real data — through the
 /// native kernel executor (`--native`), the reference interpreter, or
 /// both with a bit-exact differential check (`--check`). With `--native`
-/// also prints the per-op calibration table (native wall clock vs the
-/// analytic model's prediction).
+/// also prints the kernel's [`KernelStats`](alt_codegen::KernelStats)
+/// (groups, integer and float ops, fast-path and typed loops) and the
+/// per-op calibration table (native wall clock vs the analytic model's
+/// prediction).
 #[allow(clippy::too_many_lines)]
 fn run_run(rest: &[String]) -> i32 {
     let mut model = "r18".to_string();
@@ -308,7 +310,8 @@ fn run_run(rest: &[String]) -> i32 {
                          Compiles the model (tuning when --budget > 0, unoptimized\n\
                          otherwise) and executes it on random bindings. --native runs\n\
                          the compiled register-based kernel (stride-resolved loops,\n\
-                         SIMD-width chunking, scoped-thread @par) and prints per-op\n\
+                         SIMD-width chunking, typed multiply-accumulate loops,\n\
+                         scoped-thread @par), prints the kernel's shape and per-op\n\
                          calibration against the analytic cost model; the default runs\n\
                          the reference interpreter. --check runs both and fails unless\n\
                          outputs are bit-identical; --check-cap truncates the program\n\
@@ -385,7 +388,7 @@ fn run_run(rest: &[String]) -> i32 {
         let (r, stats) = kernel.run(&program, &graph, compiled.plan(), &bindings, threads);
         let breakdown = alt_sim::Simulator::new(machine).profile_program(&program);
         let table = alt_sim::calibrate(&breakdown, &stats.group_us);
-        Some((r, stats, table))
+        Some((r, stats, table, kernel.stats()))
     } else {
         None
     };
@@ -393,7 +396,7 @@ fn run_run(rest: &[String]) -> i32 {
     let mut check_passed = None;
     if check {
         let (want, got) = match (&interp_out, &native_res) {
-            (Some(w), Some((g, _, _))) => (w, g),
+            (Some(w), Some((g, ..))) => (w, g),
             _ => unreachable!("--check runs both executors"),
         };
         let mut mismatches = 0usize;
@@ -430,8 +433,19 @@ fn run_run(rest: &[String]) -> i32 {
         if let Some(us) = interp_us {
             obj.insert("interp_us".into(), serde_json::json!(us));
         }
-        if let Some((_, stats, table)) = &native_res {
+        if let Some((_, stats, table, k)) = &native_res {
             obj.insert("native_us".into(), serde_json::json!(stats.total_us));
+            obj.insert(
+                "kernel".into(),
+                serde_json::json!({
+                    "groups": k.groups,
+                    "iops": k.iops,
+                    "fops": k.fops,
+                    "vec_loops": k.vec_loops,
+                    "typed_loops": k.typed_loops,
+                    "par_loops": k.par_loops,
+                }),
+            );
             obj.insert("pack_us".into(), serde_json::json!(stats.pack_us));
             obj.insert("unpack_us".into(), serde_json::json!(stats.unpack_us));
             obj.insert("native_calibration".into(), table.to_json());
@@ -460,7 +474,12 @@ fn run_run(rest: &[String]) -> i32 {
         if let Some(us) = interp_us {
             println!("interp: {us:.1} us");
         }
-        if let Some((_, stats, table)) = &native_res {
+        if let Some((_, stats, table, k)) = &native_res {
+            println!(
+                "kernel: {} groups, {} integer ops, {} float ops, {} fast-path loops \
+                 ({} typed multiply-accumulate), {} parallel loops",
+                k.groups, k.iops, k.fops, k.vec_loops, k.typed_loops, k.par_loops
+            );
             println!(
                 "native: {:.1} us ({} threads); pack {:.1} us, unpack {:.1} us",
                 stats.total_us, stats.threads, stats.pack_us, stats.unpack_us

@@ -14,7 +14,9 @@
 //! Conditions that the loop bounds already decide (a coordinate that is a
 //! plain loop variable is always in range, a split's quotient is always
 //! below its factor) fold to constants at compile time by interval
-//! arithmetic, so they cost nothing per element. The walk keeps no
+//! arithmetic, so they cost nothing per element. The interval rules are
+//! the shared ones of [`alt_tensor::range`], which the native kernel
+//! compiler applies to whole index expressions. The walk keeps no
 //! per-element table: its state is one `i64` per variable, constant and
 //! op.
 
@@ -23,18 +25,10 @@ use std::sync::Arc;
 
 use alt_tensor::expr::{BinOp, Expr, Var};
 use alt_tensor::op::Cond;
+use alt_tensor::range::{identity, interval, Code, Operand};
 use alt_tensor::Shape;
 
 use crate::primitives::{Layout, LayoutError, VarExtents};
-
-/// What a three-address op computes; comparisons yield 0 or 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Code {
-    Bin(BinOp),
-    Ge,
-    Lt,
-    Eq,
-}
 
 /// `slots[dst] = slots[a] <code> slots[b]`.
 #[derive(Clone, Copy, Debug)]
@@ -169,19 +163,7 @@ impl IndexWalk {
     #[inline]
     fn run_level(&self, level: usize, slots: &mut [i64]) {
         for op in &self.ops[self.starts[level]..self.starts[level + 1]] {
-            let (a, b) = (slots[op.a as usize], slots[op.b as usize]);
-            slots[op.dst as usize] = match op.code {
-                Code::Bin(BinOp::Add) => a + b,
-                Code::Bin(BinOp::Sub) => a - b,
-                Code::Bin(BinOp::Mul) => a * b,
-                Code::Bin(BinOp::FloorDiv) => a.div_euclid(b),
-                Code::Bin(BinOp::Mod) => a.rem_euclid(b),
-                Code::Bin(BinOp::Min) => a.min(b),
-                Code::Bin(BinOp::Max) => a.max(b),
-                Code::Ge => i64::from(a >= b),
-                Code::Lt => i64::from(a < b),
-                Code::Eq => i64::from(a == b),
-            };
+            slots[op.dst as usize] = op.code.apply(slots[op.a as usize], slots[op.b as usize]);
         }
     }
 }
@@ -253,8 +235,10 @@ impl Builder {
         if r.0 == r.1 {
             return self.constant(r.0);
         }
-        if let Some(s) = identity(code, (a, x), (b, y)) {
-            return s;
+        match identity(code, x, y) {
+            Some(Operand::Left) => return a,
+            Some(Operand::Right) => return b,
+            None => {}
         }
         if let Some(&s) = self.interned.get(&(code, a, b)) {
             return s;
@@ -377,69 +361,5 @@ impl Builder {
             valid,
             on_invalid,
         }
-    }
-}
-
-/// The interval of `a <code> b` for operands in the closed intervals `x`
-/// and `y`; `(i64::MIN, i64::MAX)` when nothing tighter is known.
-fn interval(code: Code, x: (i64, i64), y: (i64, i64)) -> (i64, i64) {
-    const ANY: (i64, i64) = (i64::MIN, i64::MAX);
-    let decide = |always: bool, never: bool| match (always, never) {
-        (true, _) => (1, 1),
-        (_, true) => (0, 0),
-        _ => (0, 1),
-    };
-    match code {
-        Code::Bin(BinOp::Add) => (x.0.saturating_add(y.0), x.1.saturating_add(y.1)),
-        Code::Bin(BinOp::Sub) => (x.0.saturating_sub(y.1), x.1.saturating_sub(y.0)),
-        Code::Bin(BinOp::Mul) => {
-            let p = [
-                x.0.saturating_mul(y.0),
-                x.0.saturating_mul(y.1),
-                x.1.saturating_mul(y.0),
-                x.1.saturating_mul(y.1),
-            ];
-            (
-                p.into_iter().min().unwrap_or(i64::MIN),
-                p.into_iter().max().unwrap_or(i64::MAX),
-            )
-        }
-        Code::Bin(BinOp::FloorDiv) if y.0 == y.1 && y.0 > 0 => {
-            (x.0.div_euclid(y.0), x.1.div_euclid(y.0))
-        }
-        Code::Bin(BinOp::Mod) if y.0 == y.1 && y.0 > 0 => {
-            let m = y.0;
-            if x.0.div_euclid(m) == x.1.div_euclid(m) {
-                (x.0.rem_euclid(m), x.1.rem_euclid(m))
-            } else {
-                (0, m - 1)
-            }
-        }
-        Code::Bin(BinOp::Min) => (x.0.min(y.0), x.1.min(y.1)),
-        Code::Bin(BinOp::Max) => (x.0.max(y.0), x.1.max(y.1)),
-        Code::Bin(BinOp::FloorDiv | BinOp::Mod) => ANY,
-        Code::Ge => decide(x.0 >= y.1, x.1 < y.0),
-        Code::Lt => decide(x.1 < y.0, x.0 >= y.1),
-        Code::Eq => decide(x.0 == x.1 && x == y, x.1 < y.0 || y.1 < x.0),
-    }
-}
-
-/// The operand `a <code> b` equals for every value in the operands'
-/// intervals `x` and `y`, if one does (`e + 0`, `e * 1`, `e mod m` for
-/// `e` already in `[0, m)`, a `min` whose order the intervals decide).
-fn identity(code: Code, (a, x): (u32, (i64, i64)), (b, y): (u32, (i64, i64))) -> Option<u32> {
-    let (zero, one) = ((0, 0), (1, 1));
-    match code {
-        Code::Bin(BinOp::Add) if y == zero => Some(a),
-        Code::Bin(BinOp::Add) if x == zero => Some(b),
-        Code::Bin(BinOp::Sub) if y == zero => Some(a),
-        Code::Bin(BinOp::Mul | BinOp::FloorDiv) if y == one => Some(a),
-        Code::Bin(BinOp::Mul) if x == one => Some(b),
-        Code::Bin(BinOp::Mod) if y.0 == y.1 && x.0 >= 0 && x.1 < y.0 => Some(a),
-        Code::Bin(BinOp::Min) if x.1 <= y.0 => Some(a),
-        Code::Bin(BinOp::Min) if y.1 <= x.0 => Some(b),
-        Code::Bin(BinOp::Max) if x.0 >= y.1 => Some(a),
-        Code::Bin(BinOp::Max) if y.0 >= x.1 => Some(b),
-        _ => None,
     }
 }

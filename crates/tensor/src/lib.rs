@@ -1,7 +1,8 @@
 //! Tensor-expression IR and computational graphs for the ALT reproduction.
 //!
 //! This crate is the bottom of the stack: symbolic index expressions
-//! ([`expr`]), shapes and buffers ([`shape`], [`buffer`]), operator
+//! ([`expr`]) and their simplification against loop ranges ([`range`]),
+//! shapes and buffers ([`shape`], [`buffer`]), operator
 //! definitions in tensor-expression form ([`op`], [`ops`]), computational
 //! graphs ([`graph`]), and a naive reference executor ([`exec`]) that all
 //! layout/loop transformations are validated against.
@@ -12,6 +13,7 @@ pub mod expr;
 pub mod graph;
 pub mod op;
 pub mod ops;
+pub mod range;
 pub mod shape;
 pub mod viz;
 
