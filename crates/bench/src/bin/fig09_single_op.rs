@@ -91,22 +91,10 @@ fn main() {
         let (mut store_hits, mut store_misses) = (0u64, 0u64);
         let mut warm_starts = 0u64;
         let mut jstats = alt_bench::JournalStats::new();
-        // Best candidate for the native-executor wall-clock row: the
-        // tuned winner with the most statement iterations that still
-        // fits the interpreter-side cap (label, iters, plan, sched, case
-        // index).
-        let mut native_case: Option<(
-            String,
-            u64,
-            alt_layout::LayoutPlan,
-            alt_loopir::GraphSchedule,
-            usize,
-        )> = None;
-        let native_cap = alt_bench::native_bench_cap();
         // Per-platform wall-clock self-profile (ALT_TIMING): every ALT
         // tuning run on this platform folds into one phase tree.
         let timing = alt_bench::timing_from_env();
-        for (case_idx, case) in cases.iter().enumerate() {
+        for case in &cases {
             let g = &case.graph;
             let mut lats: HashMap<String, f64> = HashMap::new();
             // Vendor library (no search).
@@ -136,33 +124,13 @@ fn main() {
             );
             alt_wall += t0.elapsed().as_secs_f64();
             jstats.note_run(&jsink, budget);
-            let program = alt_bench::verify_winner(
+            alt_bench::verify_winner(
                 &mut report,
                 &format!("{} {} on {}", case.op, case.config, profile.name),
                 g,
                 &alt.plan,
                 &alt.sched,
             );
-            let iters = program.total_stmt_iterations();
-            let improves = match &native_case {
-                None => true,
-                Some((_, best, ..)) => {
-                    if *best > native_cap {
-                        iters < *best
-                    } else {
-                        iters <= native_cap && iters > *best
-                    }
-                }
-            };
-            if improves {
-                native_case = Some((
-                    format!("{} {}", case.op, case.config),
-                    iters,
-                    alt.plan.clone(),
-                    alt.sched.clone(),
-                    case_idx,
-                ));
-            }
             cache_hits += alt.cache_hits;
             cache_misses += alt.cache_misses;
             store_hits += alt.store_hits;
@@ -230,21 +198,6 @@ fn main() {
         );
         report.note_metric(format!("{}/tune_wall_s", profile.name), alt_wall);
         report.note_metric(format!("{}/cache_hit_rate", profile.name), hit_rate);
-        // Native-executor wall clock for the selected tuned winner, with
-        // the per-op calibration table against the analytic model.
-        if let Some((what, _, plan, sched, case_idx)) = &native_case {
-            alt_bench::native_exec_report(
-                &mut report,
-                &alt_bench::NativeExecCase {
-                    what: what.clone(),
-                    graph: &cases[*case_idx].graph,
-                    plan,
-                    sched,
-                    profile,
-                    seed: 1,
-                },
-            );
-        }
         // Durable-store effectiveness (only with ALT_STORE set): rerun
         // with the same store to warm-start every case and compare the
         // cold-vs-warm tune_wall_s pair.

@@ -168,20 +168,6 @@ fn main() {
                     format!("{}/{name}", profile.name),
                     alt_profiler::summary_json(&prof),
                 );
-                // Native-executor wall clock + calibration for the first
-                // network per platform (iteration-capped so the
-                // interpreter side stays affordable).
-                alt_bench::native_exec_report(
-                    &mut report,
-                    &alt_bench::NativeExecCase {
-                        what: name.clone(),
-                        graph: &g,
-                        plan: &alt.plan,
-                        sched: &alt.sched,
-                        profile,
-                        seed: 1,
-                    },
-                );
             }
             lats.insert("ALT".into(), alt.latency);
             lats.insert("ALT-OL".into(), alt_ol(&g, profile, budget, 1).latency);

@@ -54,75 +54,6 @@ pub fn verify_winner(
     program
 }
 
-/// A tuned winner to execute natively for wall-clock reporting.
-pub struct NativeExecCase<'a> {
-    /// Human-readable subject label (operator/model name).
-    pub what: String,
-    pub graph: &'a Graph,
-    pub plan: &'a alt_layout::LayoutPlan,
-    pub sched: &'a alt_loopir::GraphSchedule,
-    pub profile: MachineProfile,
-    /// Seed for the random input bindings.
-    pub seed: u64,
-}
-
-/// Statement-iteration cap for native-vs-interpreter wall-clock rows
-/// (`ALT_NATIVE_BENCH_CAP`); keeps the interpreter side of the
-/// comparison affordable on big models.
-pub fn native_bench_cap() -> u64 {
-    std::env::var("ALT_NATIVE_BENCH_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000_000)
-}
-
-/// Runs a tuned winner through both executors — the reference TIR
-/// interpreter and the compiled native kernel — on the same random
-/// bindings, records wall-clock metrics plus the per-op calibration
-/// table (native measured vs analytic model prediction) in the report,
-/// and returns the native-over-interpreter wall-clock ratio.
-///
-/// Metric names deliberately avoid the regression-gated "latency" and
-/// "speedup" substrings: wall clock on shared CI hardware is too noisy
-/// to gate at 5%.
-pub fn native_exec_report(report: &mut BenchReport, case: &NativeExecCase) -> f64 {
-    let program =
-        alt_loopir::lower(case.graph, case.plan, case.sched).truncated(native_bench_cap());
-    let bindings = alt_tensor::exec::random_bindings(case.graph, case.seed);
-    let t0 = std::time::Instant::now();
-    let _ = alt_loopir::run_program(&program, case.graph, case.plan, &bindings);
-    let interp_us = t0.elapsed().as_secs_f64() * 1e6;
-    let kernel = alt_codegen::compile(&program, &case.profile);
-    let threads = alt_codegen::default_threads();
-    let (_, stats) = kernel.run(&program, case.graph, case.plan, &bindings, threads);
-    let breakdown = alt_sim::Simulator::new(case.profile).profile_program(&program);
-    let table = alt_sim::calibrate(&breakdown, &stats.group_us);
-    let ratio = interp_us / stats.total_us.max(1e-9);
-    println!(
-        "native exec [{}] on {}: {:.0} us native vs {:.0} us interp ({ratio:.1}x, \
-         {} threads); calibration ratio vs model {:.2}",
-        case.what, case.profile.name, stats.total_us, interp_us, threads, table.ratio
-    );
-    report.note_metric(
-        format!("{}/native_exec_us", case.profile.name),
-        stats.total_us,
-    );
-    report.note_metric(format!("{}/interp_exec_us", case.profile.name), interp_us);
-    report.note_metric(format!("{}/native_vs_interp_x", case.profile.name), ratio);
-    report.push(serde_json::json!({
-        "type": "native_calibration",
-        "platform": case.profile.name,
-        "subject": case.what,
-        "stmt_iterations": program.total_stmt_iterations(),
-        "threads": threads,
-        "native_us": stats.total_us,
-        "interp_us": interp_us,
-        "native_vs_interp_x": ratio,
-        "calibration": table.to_json(),
-    }));
-    ratio
-}
-
 /// Random-walk loop tuning of a single operator under a fixed layout
 /// plan: alternates neighbourhood walks around the incumbent with random
 /// restarts, measuring every candidate. Leaves `sched` holding the best

@@ -1,9 +1,10 @@
 //! Kernel execution over raw `f32` buffers.
 //!
 //! The executor interprets the compiled instruction streams directly —
-//! integer prologues into a flat register file, statement bodies on a
-//! reusable value stack — touching buffers only through precomputed flat
-//! offsets. Four loop strategies exist:
+//! integer prologues into a flat register file through the op loop the
+//! layout walks also use ([`alt_tensor::range::run`]), statement bodies
+//! on a reusable value stack — touching buffers only through precomputed
+//! flat offsets. Four loop strategies exist:
 //!
 //! * **Scalar**: bind the loop register, run the prologue, run the body.
 //! * **Vector chunk** (`@vec` fast path): run the prologue once per
@@ -32,10 +33,10 @@ use alt_layout::LayoutPlan;
 use alt_loopir::tir::Program;
 use alt_loopir::{pack_buffers, unpack_buffers, StoreMode};
 use alt_tensor::op::ScalarBinOp;
-use alt_tensor::range::Code;
+use alt_tensor::range;
 use alt_tensor::{Graph, NdBuf, TensorId};
 
-use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, IOp, Mac, NativeKernel, VecBody};
+use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, Mac, NativeKernel, VecBody};
 
 /// Wall-clock accounting of one native run.
 #[derive(Clone, Debug)]
@@ -134,29 +135,6 @@ fn apply_fbin(op: ScalarBinOp, x: f32, y: f32) -> f32 {
 }
 
 #[inline]
-fn run_iops(ops: &[IOp], regs: &mut [i64]) {
-    for op in ops {
-        match *op {
-            IOp::Bin { op, dst, a, b } => {
-                regs[dst as usize] = Code::Bin(op).apply(regs[a as usize], regs[b as usize]);
-            }
-            IOp::Ge { dst, a, b } => {
-                regs[dst as usize] = i64::from(regs[a as usize] >= regs[b as usize]);
-            }
-            IOp::Lt { dst, a, b } => {
-                regs[dst as usize] = i64::from(regs[a as usize] < regs[b as usize]);
-            }
-            IOp::Eq { dst, a, b } => {
-                regs[dst as usize] = i64::from(regs[a as usize] == regs[b as usize]);
-            }
-            IOp::And { dst, a, b } => {
-                regs[dst as usize] = i64::from(regs[a as usize] != 0 && regs[b as usize] != 0);
-            }
-        }
-    }
-}
-
-#[inline]
 fn pop(stack: &mut Vec<f32>) -> f32 {
     stack.pop().expect("compiled stack program underflow")
 }
@@ -169,7 +147,7 @@ struct Runner<'k> {
 
 impl Runner<'_> {
     fn run_group(&self, g: &CGroup, st: &mut ThreadState) {
-        run_iops(&g.prologue, &mut st.regs);
+        range::run(&g.prologue, &mut st.regs);
         self.run_nodes(&g.nodes, st, true);
     }
 
@@ -191,7 +169,7 @@ impl Runner<'_> {
         }
         for i in 0..l.extent {
             st.regs[l.var_reg as usize] = i;
-            run_iops(&l.prologue, &mut st.regs);
+            range::run(&l.prologue, &mut st.regs);
             self.run_nodes(&l.body, st, par_ok);
         }
     }
@@ -216,7 +194,7 @@ impl Runner<'_> {
                 scope.spawn(move || {
                     for i in lo..hi {
                         ts.regs[l.var_reg as usize] = i as i64;
-                        run_iops(&l.prologue, &mut ts.regs);
+                        range::run(&l.prologue, &mut ts.regs);
                         self.run_nodes(&l.body, &mut ts, false);
                     }
                 });
@@ -238,7 +216,7 @@ impl Runner<'_> {
         let mut base = 0;
         while base < l.extent {
             st.regs[l.var_reg as usize] = base;
-            run_iops(&l.prologue, &mut st.regs);
+            range::run(&l.prologue, &mut st.regs);
             let lanes = w.min(l.extent - base);
             for lane in 0..lanes {
                 self.run_stmt(s, st, Some((lane, v)));
@@ -254,7 +232,7 @@ impl Runner<'_> {
     /// adds and stores, exactly as the stack program does.
     fn run_mac(&self, l: &CLoop, s: &CStmt, store_stride: i64, m: &Mac, st: &mut ThreadState) {
         st.regs[l.var_reg as usize] = 0;
-        run_iops(&l.prologue, &mut st.regs);
+        range::run(&l.prologue, &mut st.regs);
         // The predicate does not depend on the lane: a false one skips
         // every lane's accumulation.
         if s.pred.is_some_and(|p| st.regs[p as usize] == 0) {
@@ -374,12 +352,9 @@ impl NativeKernel {
             threads: threads.max(1),
         };
         let mut st = ThreadState {
-            regs: vec![0i64; self.n_regs],
+            regs: self.slots.clone(),
             stack: Vec::new(),
         };
-        for &(r, v) in &self.consts {
-            st.regs[r as usize] = v;
-        }
         let t_all = Instant::now();
         let mut group_us = Vec::with_capacity(runner.kernel.groups.len());
         for g in &runner.kernel.groups {

@@ -5,35 +5,20 @@
 //! expression replaced by a register id and every scalar body flattened
 //! into a stack program. Two instruction sets exist:
 //!
-//! * **Integer ops** ([`IOp`]) compute loop-index arithmetic into a flat
-//!   `i64` register file. Each op is placed in the *prologue* of the loop
-//!   whose variable is its deepest dependency, so it re-executes exactly
-//!   when one of its inputs changes (classic loop-invariant hoisting).
-//!   Comparisons produce `0`/`1` registers consumed by predicated stores
-//!   and `Select` branches.
+//! * **Integer ops** ([`SlotOp`]s of the shared loop-nest index compiler,
+//!   [`alt_tensor::range::SlotCompiler`]) compute loop-index arithmetic
+//!   into a flat `i64` register (slot) file. Each op is placed in the
+//!   *prologue* of the loop whose variable is its deepest dependency, so
+//!   it re-executes exactly when one of its inputs changes (classic
+//!   loop-invariant hoisting). Comparisons produce `0`/`1` registers
+//!   consumed by predicated stores and `Select` branches.
 //! * **Float ops** ([`FOp`]) evaluate one statement body as a small stack
 //!   machine in the interpreter's recursive-descent order. `Select`
 //!   becomes a conditional jump so only the taken arm touches memory.
 
 use alt_loopir::StoreMode;
-use alt_tensor::expr::BinOp;
 use alt_tensor::op::{ScalarBinOp, UnaryOp};
-
-/// A three-address integer instruction over the `i64` register file.
-#[derive(Clone, Copy, Debug)]
-pub enum IOp {
-    /// `regs[dst] = regs[a] <op> regs[b]` with the [`BinOp`] semantics of
-    /// symbolic index expressions (`FloorDiv`/`Mod` are euclidean).
-    Bin { op: BinOp, dst: u32, a: u32, b: u32 },
-    /// `regs[dst] = (regs[a] >= regs[b]) as i64`.
-    Ge { dst: u32, a: u32, b: u32 },
-    /// `regs[dst] = (regs[a] < regs[b]) as i64`.
-    Lt { dst: u32, a: u32, b: u32 },
-    /// `regs[dst] = (regs[a] == regs[b]) as i64`.
-    Eq { dst: u32, a: u32, b: u32 },
-    /// `regs[dst] = (regs[a] != 0 && regs[b] != 0) as i64`.
-    And { dst: u32, a: u32, b: u32 },
-}
+use alt_tensor::range::SlotOp;
 
 /// One stack-machine instruction of a statement body.
 #[derive(Clone, Copy, Debug)]
@@ -134,7 +119,7 @@ pub struct CLoop {
     pub lanes: u32,
     /// Integer ops to run at the top of every iteration: exactly the ops
     /// whose deepest variable dependency is this loop's variable.
-    pub prologue: Vec<IOp>,
+    pub prologue: Vec<SlotOp>,
     /// Loop body in source order.
     pub body: Vec<CNode>,
     /// Vector fast path; `Some` only when `body` is a single statement
@@ -148,7 +133,7 @@ pub struct CGroup {
     /// Human-readable label, copied from the lowered group.
     pub label: String,
     /// Integer ops with no loop-variable dependency; run once per group.
-    pub prologue: Vec<IOp>,
+    pub prologue: Vec<SlotOp>,
     /// The compiled loop tree.
     pub nodes: Vec<CNode>,
 }
@@ -160,10 +145,9 @@ pub struct CGroup {
 pub struct NativeKernel {
     /// Compiled groups in execution order.
     pub groups: Vec<CGroup>,
-    /// Size of the `i64` register file.
-    pub n_regs: usize,
-    /// `(register, value)` pairs loaded once before execution.
-    pub consts: Vec<(u32, i64)>,
+    /// The initial register file: constants hold their values, loop
+    /// variables and op results zero.
+    pub slots: Vec<i64>,
 }
 
 /// Static shape of a compiled kernel, for logs and smoke tests.

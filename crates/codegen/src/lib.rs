@@ -33,10 +33,12 @@
 //! walks use): decided `floordiv`, `mod`, `min`, `max` and comparisons
 //! fold, split quotients and remainders reduce (`(k·x + y) / (k·m)` to
 //! `x / m` when `0 ≤ y < k`), and terms are summed outermost loop first.
-//! Each integer expression is then compiled once into a three-address op
-//! placed at the loop level of its deepest variable dependency, with
-//! hash-consing CSE, so an expression like `(i / 8) * 64` is recomputed
-//! only when `i` changes — not per element.
+//! Each integer expression is then compiled by the loop-nest index
+//! compiler the layout conversions share
+//! ([`alt_tensor::range::SlotCompiler`]) into hash-consed three-address
+//! ops, each placed at the loop level of its deepest variable dependency,
+//! so an expression like `(i / 8) * 64` is recomputed only when `i`
+//! changes — not per element.
 //!
 //! Two more properties keep the contract with these speed-ups:
 //!

@@ -5,39 +5,25 @@
 //! element to or from a flat offset in another buffer, through the
 //! layout's access map. Running the primitive chain's symbolic rewrite per
 //! element costs about a microsecond, so an [`IndexWalk`] rewrites the map
-//! once over loop variables instead, compiles the resulting expressions
-//! into hash-consed three-address ops, and places each op at the depth of
-//! its deepest variable. A row-major odometer then reruns only the levels
-//! whose variables changed: most ops run once per row or once per tile,
-//! and the innermost level is typically an add or two.
+//! once over loop variables instead and compiles the resulting
+//! expressions with [`SlotCompiler`], the loop-nest index compiler the
+//! native kernels share: hash-consed three-address ops, each placed at
+//! the loop of its deepest variable. A row-major odometer then reruns
+//! only the levels whose variables changed: most ops run once per row or
+//! once per tile, and the innermost level is typically an add or two.
 //!
 //! Conditions that the loop bounds already decide (a coordinate that is a
 //! plain loop variable is always in range, a split's quotient is always
-//! below its factor) fold to constants at compile time by interval
-//! arithmetic, so they cost nothing per element. The interval rules are
-//! the shared ones of [`alt_tensor::range`], which the native kernel
-//! compiler applies to whole index expressions. The walk keeps no
+//! below its factor) fold to constants at compile time by the compiler's
+//! interval rules, so they cost nothing per element. The walk keeps no
 //! per-element table: its state is one `i64` per variable, constant and
 //! op.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use alt_tensor::expr::{BinOp, Expr, Var};
-use alt_tensor::op::Cond;
-use alt_tensor::range::{identity, interval, Code, Operand};
+use alt_tensor::range::{self, Code, SlotCompiler, SlotOp};
 use alt_tensor::Shape;
 
 use crate::primitives::{Layout, LayoutError, VarExtents};
-
-/// `slots[dst] = slots[a] <code> slots[b]`.
-#[derive(Clone, Copy, Debug)]
-struct Op {
-    code: Code,
-    a: u32,
-    b: u32,
-    dst: u32,
-}
 
 /// What the walk does at a point whose mapped index is out of range.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,13 +39,11 @@ enum Invalid {
 pub(crate) struct IndexWalk {
     what: &'static str,
     extents: Vec<i64>,
-    /// Initial slot values: constants; loop variables and op results
-    /// start at zero.
+    /// The initial slot file; slot `k` holds loop variable `k`.
     init: Vec<i64>,
-    /// Ops ordered by level; level `l` (`0` for no variable, `k + 1` for
-    /// loop variable `k`) is `ops[starts[l]..starts[l + 1]]`.
-    ops: Vec<Op>,
-    starts: Vec<usize>,
+    /// The ops of each level: `levels[0]` use no variable and
+    /// `levels[k + 1]` rerun whenever loop variable `k` steps.
+    levels: Vec<Vec<SlotOp>>,
     offset: u32,
     /// The slot holding 1 where the point maps in range; `None` when the
     /// loop bounds already guarantee it.
@@ -78,7 +62,7 @@ impl IndexWalk {
         let (logical, conds) = layout.inverse_access(&b.var_exprs())?;
         let mut valid = conds
             .iter()
-            .map(|c| b.cond(c))
+            .map(|c| b.slots.cond(c).ok_or_else(|| unbound(format!("{c:?}"))))
             .collect::<Result<Vec<_>, _>>()?;
         let offset = b.offset(&logical, layout.logical_shape().dims(), &mut valid)?;
         Ok(b.finish("pack", offset, valid, Invalid::Skip))
@@ -117,8 +101,8 @@ impl IndexWalk {
         let mut slots = self.init.clone();
         // Every variable starts at zero: run every level but the
         // innermost, which the row loop below runs per element.
-        for l in 0..n.max(1) {
-            self.run_level(l, &mut slots);
+        for ops in &self.levels[..n.max(1)] {
+            range::run(ops, &mut slots);
         }
         let inner_extent = self.extents.last().copied().unwrap_or(1);
         let mut idx = vec![0i64; n];
@@ -127,7 +111,7 @@ impl IndexWalk {
             for i in 0..inner_extent {
                 if n > 0 {
                     slots[n - 1] = i;
-                    self.run_level(n, &mut slots);
+                    range::run(&self.levels[n], &mut slots);
                 }
                 if self.valid.is_none_or(|v| slots[v as usize] != 0) {
                     visit(pos, slots[self.offset as usize] as usize);
@@ -155,152 +139,45 @@ impl IndexWalk {
             }
             for v in k..n - 1 {
                 slots[v] = idx[v];
-                self.run_level(v + 1, &mut slots);
+                range::run(&self.levels[v + 1], &mut slots);
             }
         }
     }
+}
 
-    #[inline]
-    fn run_level(&self, level: usize, slots: &mut [i64]) {
-        for op in &self.ops[self.starts[level]..self.starts[level + 1]] {
-            slots[op.dst as usize] = op.code.apply(slots[op.a as usize], slots[op.b as usize]);
-        }
+/// `NonConstantIndex` for an index over a variable the walk does not loop
+/// over.
+fn unbound(expr: String) -> LayoutError {
+    LayoutError::NonConstantIndex {
+        what: "index walk",
+        expr,
     }
 }
 
-/// Compiles expressions over the walk's loop variables into slots.
+/// Compiles a walk's expressions with one open loop per dimension; loop
+/// variable `k` has id `k` and, opened first, slot `k`.
 struct Builder {
     extents: Vec<i64>,
-    /// Per slot: initial value, level and the closed interval of values
-    /// it can take while the loop variables stay in bounds.
-    init: Vec<i64>,
-    level: Vec<usize>,
-    range: Vec<(i64, i64)>,
-    ops: Vec<Op>,
-    consts: HashMap<i64, u32>,
-    /// Hash-consing: one slot per distinct `(code, a, b)`.
-    interned: HashMap<(Code, u32, u32), u32>,
-    /// Shared subtrees of the rewritten expressions, compiled once.
-    seen: HashMap<*const Expr, u32>,
+    slots: SlotCompiler,
 }
 
 impl Builder {
-    /// Slots `0..extents.len()` are the loop variables, outermost first.
     fn new(extents: &[i64]) -> Self {
-        let n = extents.len();
+        let mut slots = SlotCompiler::new();
+        for (k, &e) in extents.iter().enumerate() {
+            slots.push_loop(k as u32, e);
+        }
         Self {
             extents: extents.to_vec(),
-            init: vec![0; n],
-            level: (1..=n).collect(),
-            range: extents.iter().map(|&e| (0, e - 1)).collect(),
-            ops: Vec::new(),
-            consts: HashMap::new(),
-            interned: HashMap::new(),
-            seen: HashMap::new(),
+            slots,
         }
     }
 
-    /// The loop variables as expressions; variable `k` has id `k`.
+    /// The loop variables as expressions, outermost first.
     fn var_exprs(&self) -> Vec<Expr> {
         (0..self.extents.len())
             .map(|k| Expr::v(&Var::new(k as u32, format!("i{k}"))))
             .collect()
-    }
-
-    fn push_slot(&mut self, init: i64, level: usize, range: (i64, i64)) -> u32 {
-        self.init.push(init);
-        self.level.push(level);
-        self.range.push(range);
-        (self.init.len() - 1) as u32
-    }
-
-    fn constant(&mut self, v: i64) -> u32 {
-        if let Some(&s) = self.consts.get(&v) {
-            return s;
-        }
-        let s = self.push_slot(v, 0, (v, v));
-        self.consts.insert(v, s);
-        s
-    }
-
-    fn is_const(&self, s: u32, v: i64) -> bool {
-        self.range[s as usize] == (v, v)
-    }
-
-    /// The slot computing `a <code> b`: a constant when the operands'
-    /// intervals decide it, an existing slot when the op was seen before.
-    fn op(&mut self, code: Code, a: u32, b: u32) -> u32 {
-        let (x, y) = (self.range[a as usize], self.range[b as usize]);
-        let r = interval(code, x, y);
-        if r.0 == r.1 {
-            return self.constant(r.0);
-        }
-        match identity(code, x, y) {
-            Some(Operand::Left) => return a,
-            Some(Operand::Right) => return b,
-            None => {}
-        }
-        if let Some(&s) = self.interned.get(&(code, a, b)) {
-            return s;
-        }
-        let level = self.level[a as usize].max(self.level[b as usize]);
-        let dst = self.push_slot(0, level, r);
-        self.ops.push(Op { code, a, b, dst });
-        self.interned.insert((code, a, b), dst);
-        dst
-    }
-
-    fn expr(&mut self, e: &Expr) -> Result<u32, LayoutError> {
-        match e {
-            Expr::Const(v) => Ok(self.constant(*v)),
-            Expr::Var(v) if (v.id() as usize) < self.extents.len() => Ok(v.id()),
-            Expr::Var(_) => Err(LayoutError::NonConstantIndex {
-                what: "index walk",
-                expr: e.to_string(),
-            }),
-            Expr::Bin(op, a, b) => {
-                let x = self.shared(a)?;
-                let y = self.shared(b)?;
-                Ok(self.op(Code::Bin(*op), x, y))
-            }
-        }
-    }
-
-    fn shared(&mut self, e: &Arc<Expr>) -> Result<u32, LayoutError> {
-        let key = Arc::as_ptr(e);
-        if let Some(&s) = self.seen.get(&key) {
-            return Ok(s);
-        }
-        let s = self.expr(e)?;
-        self.seen.insert(key, s);
-        Ok(s)
-    }
-
-    fn cond(&mut self, c: &Cond) -> Result<u32, LayoutError> {
-        let (code, a, b) = match c {
-            Cond::Ge(a, b) => (Code::Ge, a, b),
-            Cond::Lt(a, b) => (Code::Lt, a, b),
-            Cond::Eq(a, b) => (Code::Eq, a, b),
-            Cond::And(a, b) => {
-                let x = self.cond(a)?;
-                let y = self.cond(b)?;
-                return Ok(self.op(Code::Bin(BinOp::Min), x, y));
-            }
-        };
-        let x = self.expr(a)?;
-        let y = self.expr(b)?;
-        Ok(self.op(code, x, y))
-    }
-
-    /// Folds `terms` with `code`, outermost level first, so that every
-    /// partial result over outer variables hoists out of inner levels.
-    fn fold(&mut self, code: BinOp, mut terms: Vec<u32>, empty: i64) -> u32 {
-        terms.sort_by_key(|&s| self.level[s as usize]);
-        let mut it = terms.into_iter();
-        let Some(first) = it.next() else {
-            return self.constant(empty);
-        };
-        it.fold(first, |acc, t| self.op(Code::Bin(code), acc, t))
     }
 
     /// The row-major offset of `coords` in a buffer of shape `dims`;
@@ -312,17 +189,17 @@ impl Builder {
         valid: &mut Vec<u32>,
     ) -> Result<u32, LayoutError> {
         let strides = Shape(dims.to_vec()).strides();
-        let zero = self.constant(0);
+        let zero = self.slots.constant(0);
         let mut terms = Vec::with_capacity(coords.len());
         for ((c, &d), &s) in coords.iter().zip(dims).zip(&strides) {
-            let x = self.expr(c)?;
-            let bound = self.constant(d);
-            valid.push(self.op(Code::Ge, x, zero));
-            valid.push(self.op(Code::Lt, x, bound));
-            let stride = self.constant(s);
-            terms.push(self.op(Code::Bin(BinOp::Mul), x, stride));
+            let x = self.slots.expr(c).ok_or_else(|| unbound(c.to_string()))?;
+            let bound = self.slots.constant(d);
+            valid.push(self.slots.op(Code::Ge, x, zero));
+            valid.push(self.slots.op(Code::Lt, x, bound));
+            let stride = self.slots.constant(s);
+            terms.push(self.slots.op(Code::Bin(BinOp::Mul), x, stride));
         }
-        Ok(self.fold(BinOp::Add, terms, 0))
+        Ok(self.slots.fold(BinOp::Add, terms, 0))
     }
 
     fn finish(
@@ -336,27 +213,19 @@ impl Builder {
         // the true ones, and AND (min over 0/1) the rest.
         let open: Vec<u32> = valid
             .into_iter()
-            .filter(|&s| !self.is_const(s, 1))
+            .filter(|&s| !self.slots.is_const(s, 1))
             .collect();
-        let valid = (!open.is_empty()).then(|| self.fold(BinOp::Min, open, 1));
-        let n = self.extents.len();
-        // A stable sort keeps creation order within a level, and every
-        // operand was created before its op at a level no deeper.
-        let mut ops = self.ops;
-        ops.sort_by_key(|op| self.level[op.dst as usize]);
-        let mut starts = vec![0; n + 2];
-        for op in &ops {
-            starts[self.level[op.dst as usize] + 1] += 1;
-        }
-        for l in 1..starts.len() {
-            starts[l] += starts[l - 1];
-        }
+        let valid = (!open.is_empty()).then(|| self.slots.fold(BinOp::Min, open, 1));
+        // Close the loops innermost first, then take the root.
+        let mut levels: Vec<Vec<SlotOp>> =
+            self.extents.iter().map(|_| self.slots.pop_loop()).collect();
+        levels.push(self.slots.take_root());
+        levels.reverse();
         IndexWalk {
             what,
+            init: self.slots.init(),
             extents: self.extents,
-            init: self.init,
-            ops,
-            starts,
+            levels,
             offset,
             valid,
             on_invalid,

@@ -47,8 +47,8 @@ impl TiledAxis {
         tiling: &crate::schedule::AxisTiling,
         vargen: &mut VarGen,
         name: &str,
-    ) -> Self {
-        let levels = tiling.levels(extent);
+    ) -> Result<Self, AltError> {
+        let levels = tiling.levels(extent)?;
         // Loop names encode the axis lineage, not the level position:
         // roles are assigned among the *non-trivial* (extent > 1) levels
         // only, so an axis tiled with trivial factors gets the same names
@@ -80,7 +80,7 @@ impl TiledAxis {
                 }
             })
             .collect();
-        Self { levels, vars }
+        Ok(Self { levels, vars })
     }
 
     /// The reconstructed axis index expression (Horner form over levels).
@@ -525,7 +525,7 @@ impl Lowerer<'_, '_> {
                     &dim_names[k],
                 )
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let max_s_levels = spatial.iter().map(TiledAxis::num_levels).max().unwrap_or(1);
 
         // S0 loops (outermost level of every spatial axis).
@@ -606,7 +606,7 @@ impl Lowerer<'_, '_> {
                         ax.var.name(),
                     )
                 })
-                .collect();
+                .collect::<Result<_, _>>()?;
             // Reduce axis reconstruction: original reduce var = Horner of
             // level vars; substitute into the body.
             let mut rsubst = HashMap::new();

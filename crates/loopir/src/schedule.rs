@@ -44,28 +44,9 @@ impl AxisTiling {
         }
     }
 
-    /// Loop-level extents for an axis of extent `e` (outer first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the factors do not divide `e` — schedules are validated
-    /// by [`OpSchedule::validate`] before lowering.
-    pub fn levels(&self, e: i64) -> Vec<i64> {
-        let prod: i64 = self.factors.iter().product();
-        assert!(
-            prod > 0 && e % prod == 0,
-            "tiling {:?} does not divide extent {e}",
-            self.factors
-        );
-        let mut out = vec![e / prod];
-        out.extend(self.factors.iter().copied());
-        out
-    }
-
-    /// Fallible [`AxisTiling::levels`]: returns
-    /// `V008_SPLIT_NONDIVISIBLE` instead of panicking when the factors do
-    /// not divide `e`.
-    pub fn try_levels(&self, e: i64) -> Result<Vec<i64>, AltError> {
+    /// Loop-level extents for an axis of extent `e` (outer first), or
+    /// `V008_SPLIT_NONDIVISIBLE` when the factors do not divide `e`.
+    pub fn levels(&self, e: i64) -> Result<Vec<i64>, AltError> {
         let prod: i64 = self.factors.iter().product();
         if prod <= 0 || e % prod != 0 {
             return Err(AltError::Verify {
@@ -76,12 +57,6 @@ impl AxisTiling {
         let mut out = vec![e / prod];
         out.extend(self.factors.iter().copied());
         Ok(out)
-    }
-
-    /// Whether the factors divide `e`.
-    pub fn divides(&self, e: i64) -> bool {
-        let prod: i64 = self.factors.iter().product();
-        prod > 0 && e % prod == 0
     }
 }
 
@@ -139,13 +114,10 @@ impl OpSchedule {
                 });
             }
             for (k, (t, &e)) in tilings.iter().zip(extents).enumerate() {
-                if !t.divides(e) {
+                if let Err(AltError::Verify { code, detail }) = t.levels(e) {
                     return Err(AltError::Verify {
-                        code: codes::V008_SPLIT_NONDIVISIBLE,
-                        detail: format!(
-                            "{what} axis {k}: tiling {:?} does not divide extent {e}",
-                            t.factors
-                        ),
+                        code,
+                        detail: format!("{what} axis {k}: {detail}"),
                     });
                 }
             }
@@ -200,15 +172,15 @@ mod tests {
 
     #[test]
     fn tiling_levels() {
-        assert_eq!(AxisTiling::none().levels(12), vec![12]);
-        assert_eq!(AxisTiling::one(4).levels(12), vec![3, 4]);
-        assert_eq!(AxisTiling::two(2, 3).levels(12), vec![2, 2, 3]);
+        assert_eq!(AxisTiling::none().levels(12).unwrap(), vec![12]);
+        assert_eq!(AxisTiling::one(4).levels(12).unwrap(), vec![3, 4]);
+        assert_eq!(AxisTiling::two(2, 3).levels(12).unwrap(), vec![2, 2, 3]);
     }
 
     #[test]
     fn divides_check() {
-        assert!(AxisTiling::one(4).divides(12));
-        assert!(!AxisTiling::one(5).divides(12));
+        assert!(AxisTiling::one(4).levels(12).is_ok());
+        assert!(AxisTiling::one(5).levels(12).is_err());
     }
 
     #[test]
@@ -224,10 +196,10 @@ mod tests {
 
     #[test]
     fn try_levels_reports_nondivisible_split() {
-        assert_eq!(AxisTiling::one(4).try_levels(12).unwrap(), vec![3, 4]);
-        let err = AxisTiling::one(5).try_levels(12).unwrap_err();
+        assert_eq!(AxisTiling::one(4).levels(12).unwrap(), vec![3, 4]);
+        let err = AxisTiling::one(5).levels(12).unwrap_err();
         assert_eq!(err.verify_code(), Some(codes::V008_SPLIT_NONDIVISIBLE));
-        let err = AxisTiling { factors: vec![0] }.try_levels(12).unwrap_err();
+        let err = AxisTiling { factors: vec![0] }.levels(12).unwrap_err();
         assert_eq!(err.verify_code(), Some(codes::V008_SPLIT_NONDIVISIBLE));
     }
 

@@ -1,8 +1,10 @@
 //! Tensor-expression IR and computational graphs for the ALT reproduction.
 //!
 //! This crate is the bottom of the stack: symbolic index expressions
-//! ([`expr`]) and their simplification against loop ranges ([`range`]),
-//! shapes and buffers ([`shape`], [`buffer`]), operator
+//! ([`expr`]), their simplification against loop ranges and the one
+//! compiler of index math over a loop nest ([`range`]), which layout
+//! conversions and native kernels share, shapes and buffers ([`shape`],
+//! [`buffer`]), operator
 //! definitions in tensor-expression form ([`op`], [`ops`]), computational
 //! graphs ([`graph`]), and a naive reference executor ([`exec`]) that all
 //! layout/loop transformations are validated against.

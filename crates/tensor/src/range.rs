@@ -1,13 +1,13 @@
-//! Value ranges of index expressions, and simplification against them.
+//! Value ranges of index expressions, simplification against them, and
+//! the one compiler of index math over a loop nest.
 //!
 //! Inside a loop nest every loop variable ranges over `[0, extent)`, and
 //! those ranges decide much of the quasi-affine index math that layout
 //! primitives produce: a split quotient is below its factor, a loop
 //! variable always passes its bound check, a `min` never changes order.
 //! The interval rules here ([`interval`] and [`identity`]) are the one
-//! place that knowledge lives. The layout crate's compiled index walks
-//! apply them op by op; [`LoopRanges`] applies them to whole expressions
-//! and conditions:
+//! place that knowledge lives. [`LoopRanges`] applies them to whole
+//! expressions and conditions:
 //!
 //! * every `floordiv`, `mod`, `min`, `max` and comparison the ranges
 //!   decide folds to a constant or to one of its operands;
@@ -16,11 +16,20 @@
 //!   `0 ≤ y < k`;
 //! * sums are rebuilt with their terms ordered outermost loop first, so a
 //!   partial sum over outer variables is computed once per outer
-//!   iteration by a compiler that hoists by variable depth.
+//!   iteration by a compiler that hoists by variable depth;
+//! * [`LoopRanges::stride`] reads off the step of an expression that is
+//!   affine in one variable.
 //!
 //! Simplification is exact on the ranges: the result evaluates equal to
 //! the input at every point where each variable lies in its range.
+//!
+//! [`SlotCompiler`] turns expressions and conditions into three-address
+//! [`SlotOp`]s over a flat `i64` slot file, each placed at the loop of its
+//! deepest variable, hash-consed and folded op by op by the same rules;
+//! [`run`] is the one loop that executes them. The layout crate's
+//! conversion walks and the native kernel compiler are its two callers.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::expr::{BinOp, Expr};
@@ -216,9 +225,31 @@ impl LoopRanges {
         }
     }
 
+    /// The step `e` takes when variable `var` steps by one inside its
+    /// range, if `e` is affine in `var` there (`e = base + s·var` with
+    /// `base` free of `var`): `None` when `var` remains under a division,
+    /// a modulo, a `min`, a `max` or a product with another variable.
+    pub fn stride(&self, e: &Expr, var: u32) -> Option<i64> {
+        let mut s = 0;
+        for t in self.linear(e).terms {
+            match &t.atom {
+                Expr::Var(v) if v.id() == var => s = t.coef,
+                atom if atom.uses_var(var) => return None,
+                _ => {}
+            }
+        }
+        Some(s)
+    }
+
+    /// Position (0 for the outermost loop) of the innermost loop over
+    /// `id`.
+    fn position(&self, id: u32) -> Option<usize> {
+        self.vars.iter().rposition(|&(v, _)| v == id)
+    }
+
     /// Depth (1 for the outermost loop) and range of a variable.
     fn lookup(&self, id: u32) -> (usize, Interval) {
-        match self.vars.iter().rposition(|&(v, _)| v == id) {
+        match self.position(id) {
             Some(k) => (k + 1, self.vars[k].1),
             None => (self.vars.len() + 1, ANY),
         }
@@ -483,6 +514,197 @@ fn gcd(mut a: i64, mut b: i64) -> i64 {
         (a, b) = (b, a % b);
     }
     a
+}
+
+/// `slots[dst] = slots[a] <code> slots[b]`: one op of a compiled loop
+/// nest.
+#[derive(Clone, Copy, Debug)]
+pub struct SlotOp {
+    /// The operation.
+    pub code: Code,
+    /// The left operand's slot.
+    pub a: u32,
+    /// The right operand's slot.
+    pub b: u32,
+    /// The result's slot.
+    pub dst: u32,
+}
+
+/// Runs `ops` in order over the slot file `slots`.
+#[inline]
+pub fn run(ops: &[SlotOp], slots: &mut [i64]) {
+    for op in ops {
+        slots[op.dst as usize] = op.code.apply(slots[op.a as usize], slots[op.b as usize]);
+    }
+}
+
+/// Compiles index expressions and conditions over a loop nest into
+/// [`SlotOp`]s on a flat `i64` slot file.
+///
+/// Each open loop's variable, each constant and each op result has one
+/// slot. An op is placed at the loop of its deeper operand, or at the
+/// root when it uses no variable, so it reruns only when that loop's
+/// variable steps: a caller runs the root ops once, then a loop's ops
+/// each time it sets the loop's variable slot. Equal ops share one slot
+/// while it is live, and every op is folded by [`interval`] and
+/// [`identity`] over its operands' ranges, so where the loops' ranges
+/// decide an op a constant or an operand takes its place. Conditions
+/// compile to 0/1 slots, and `And` to the `min` of its sides.
+#[derive(Debug, Default)]
+pub struct SlotCompiler {
+    /// The open loops' variables and ranges, outermost first.
+    ranges: LoopRanges,
+    /// Per open loop, its variable's slot and the ops placed at it.
+    loops: Vec<(u32, Vec<SlotOp>)>,
+    /// The ops placed at no loop.
+    root: Vec<SlotOp>,
+    /// Per slot: its initial value, its level (0 for the root, `k` for
+    /// the `k`-th open loop) and the interval of values it takes while
+    /// every variable lies in its range.
+    init: Vec<i64>,
+    level: Vec<usize>,
+    range: Vec<Interval>,
+    consts: HashMap<i64, u32>,
+    /// One slot per distinct live `(code, a, b)`.
+    interned: HashMap<(Code, u32, u32), u32>,
+}
+
+impl SlotCompiler {
+    /// No loop open and no slot.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Opens a loop whose variable `var` ranges over `[0, extent)` and
+    /// returns the slot the loop sets to its variable's value. Slots are
+    /// numbered in creation order, so the loops opened first in a new
+    /// compiler take slots `0, 1, …`.
+    pub fn push_loop(&mut self, var: u32, extent: i64) -> u32 {
+        self.ranges.push(var, extent);
+        let slot = self.push_slot(0, self.loops.len() + 1, (0, extent - 1));
+        self.loops.push((slot, Vec::new()));
+        slot
+    }
+
+    /// Closes the innermost loop and returns the ops placed at it. They
+    /// are shared no longer: outside the loop their slots go stale.
+    pub fn pop_loop(&mut self) -> Vec<SlotOp> {
+        self.ranges.pop();
+        let ops = self.loops.pop().map(|(_, ops)| ops).unwrap_or_default();
+        for op in &ops {
+            self.interned.remove(&(op.code, op.a, op.b));
+        }
+        ops
+    }
+
+    /// Takes the ops placed at no loop since the last call. They stay
+    /// shared, so a caller runs them before anything that reads them and
+    /// keeps its slot file.
+    pub fn take_root(&mut self) -> Vec<SlotOp> {
+        std::mem::take(&mut self.root)
+    }
+
+    /// The ranges of the open loops' variables.
+    pub fn ranges(&self) -> &LoopRanges {
+        &self.ranges
+    }
+
+    /// The initial slot file: constants hold their values, variables and
+    /// op results zero.
+    pub fn init(&self) -> Vec<i64> {
+        self.init.clone()
+    }
+
+    /// Whether slot `s` holds `v` at every point of the open loops.
+    pub fn is_const(&self, s: u32, v: i64) -> bool {
+        self.range[s as usize] == (v, v)
+    }
+
+    /// The slot holding the constant `v`.
+    pub fn constant(&mut self, v: i64) -> u32 {
+        if let Some(&s) = self.consts.get(&v) {
+            return s;
+        }
+        let s = self.push_slot(v, 0, (v, v));
+        self.consts.insert(v, s);
+        s
+    }
+
+    /// The slot holding `a <code> b`: a constant or an operand where the
+    /// operands' intervals decide it, else the live op computing it, else
+    /// a new op placed at the deeper operand's loop.
+    pub fn op(&mut self, code: Code, a: u32, b: u32) -> u32 {
+        let (x, y) = (self.range[a as usize], self.range[b as usize]);
+        let r = interval(code, x, y);
+        if r.0 == r.1 {
+            return self.constant(r.0);
+        }
+        match identity(code, x, y) {
+            Some(Operand::Left) => return a,
+            Some(Operand::Right) => return b,
+            None => {}
+        }
+        if let Some(&s) = self.interned.get(&(code, a, b)) {
+            return s;
+        }
+        let level = self.level[a as usize].max(self.level[b as usize]);
+        let dst = self.push_slot(0, level, r);
+        let op = SlotOp { code, a, b, dst };
+        match level.checked_sub(1) {
+            Some(k) => self.loops[k].1.push(op),
+            None => self.root.push(op),
+        }
+        self.interned.insert((code, a, b), dst);
+        dst
+    }
+
+    /// The slot holding `e`; `None` when `e` uses a variable that no open
+    /// loop binds.
+    pub fn expr(&mut self, e: &Expr) -> Option<u32> {
+        match e {
+            Expr::Const(v) => Some(self.constant(*v)),
+            Expr::Var(v) => Some(self.loops[self.ranges.position(v.id())?].0),
+            Expr::Bin(op, a, b) => {
+                let (x, y) = (self.expr(a)?, self.expr(b)?);
+                Some(self.op(Code::Bin(*op), x, y))
+            }
+        }
+    }
+
+    /// The slot holding 1 where `c` holds and 0 elsewhere; `None` as for
+    /// [`SlotCompiler::expr`].
+    pub fn cond(&mut self, c: &Cond) -> Option<u32> {
+        let (code, a, b) = match c {
+            Cond::Ge(a, b) => (Code::Ge, a, b),
+            Cond::Lt(a, b) => (Code::Lt, a, b),
+            Cond::Eq(a, b) => (Code::Eq, a, b),
+            Cond::And(l, r) => {
+                let (x, y) = (self.cond(l)?, self.cond(r)?);
+                return Some(self.op(Code::Bin(BinOp::Min), x, y));
+            }
+        };
+        let (x, y) = (self.expr(a)?, self.expr(b)?);
+        Some(self.op(code, x, y))
+    }
+
+    /// `terms` combined by `code`, outermost level first, so that every
+    /// partial result over outer variables is placed at an outer loop;
+    /// the constant `empty` when there is no term.
+    pub fn fold(&mut self, code: BinOp, mut terms: Vec<u32>, empty: i64) -> u32 {
+        terms.sort_by_key(|&s| self.level[s as usize]);
+        let mut it = terms.into_iter();
+        let Some(first) = it.next() else {
+            return self.constant(empty);
+        };
+        it.fold(first, |acc, t| self.op(Code::Bin(code), acc, t))
+    }
+
+    fn push_slot(&mut self, init: i64, level: usize, range: Interval) -> u32 {
+        self.init.push(init);
+        self.level.push(level);
+        self.range.push(range);
+        (self.init.len() - 1) as u32
+    }
 }
 
 #[cfg(test)]
