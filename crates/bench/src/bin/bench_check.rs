@@ -11,9 +11,10 @@
 //! for every end-to-end metric `BENCHMARK.json` declares (read from the
 //! candidate directory's parent, never written). A move worse than that
 //! metric's bound is flagged and fails the gate like a regression, and so
-//! is a bounded metric (or a whole workload) that the previous entry
-//! recorded and the newest one drops, unless the newest entry names it in
-//! its `retired` list.
+//! is a bounded metric, a traced per-layer key (an entry's `traced`
+//! object) or a whole workload that the previous entry recorded and the
+//! newest one drops, unless the newest entry names it in its `retired`
+//! list.
 //!
 //! Metric direction is by naming convention (see
 //! `alt_bench::BenchReport::note_metric`): names containing `latency`
@@ -68,8 +69,8 @@ fn parse_args() -> Result<Args, String> {
                      Per-workload trajectories (BENCH_perfbench.json) compare their\n\
                      newest entry with the previous one instead and fail on a move\n\
                      worse than the metric's bound in BENCHMARK.json, or on a\n\
-                     metric or workload the newest entry drops without naming it\n\
-                     in its `retired` list.\n\
+                     metric, traced per-layer key or workload the newest entry\n\
+                     drops without naming it in its `retired` list.\n\
                      --report-only prints the comparison but always exits 0."
                 );
                 std::process::exit(0);
@@ -147,10 +148,11 @@ struct Move {
 }
 
 /// The newest entry of a per-workload trajectory against the previous
-/// one, for every bounded metric the previous entry records. A metric
-/// the newest entry lacks (on its own or with its whole workload) is a
-/// flagged move unless the newest entry's `retired` list names the
-/// metric or the workload. `None` when the document is not a
+/// one, for every bounded metric the previous entry records, plus every
+/// traced per-layer key it records that the newest entry lacks. A metric
+/// or key the newest entry lacks (on its own or with its whole workload)
+/// is a flagged move unless the newest entry's `retired` list names it or
+/// the workload. `None` when the document is not a
 /// per-workload trajectory or has fewer than two entries.
 fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
     let entries = doc.get("entries")?.as_array()?;
@@ -166,7 +168,12 @@ fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
         .and_then(Value::as_array)
         .map(|keys| keys.iter().filter_map(Value::as_str).collect())
         .unwrap_or_default();
+    let dropped =
+        |workload: &str, name: &str| !retired.contains(&name) && !retired.contains(&workload);
     let metric = |w: &Value, name: &str| w.get("metrics")?.get(name)?.as_f64();
+    fn traced(w: &Value) -> Option<&serde_json::Map> {
+        w.get("traced")?.as_object()
+    }
     let mut moves = Vec::new();
     for (workload, p) in prev {
         for b in bounds {
@@ -177,9 +184,7 @@ fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
             let flagged = match newest {
                 Some(v) if b.lower_is_better => v / previous > 1.0 + b.bound,
                 Some(v) => v / previous < 1.0 - b.bound,
-                None => {
-                    !retired.contains(&b.name.as_str()) && !retired.contains(&workload.as_str())
-                }
+                None => dropped(workload, &b.name),
             };
             moves.push(Move {
                 workload: workload.clone(),
@@ -187,6 +192,23 @@ fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
                 previous,
                 newest,
                 flagged,
+            });
+        }
+        // Traced per-layer keys have no bound; only dropping one moves.
+        let kept = new.get(workload).and_then(traced);
+        for (key, previous) in traced(p).into_iter().flatten() {
+            let Some(previous) = previous.as_f64() else {
+                continue;
+            };
+            if kept.is_some_and(|t| t.contains_key(key)) {
+                continue;
+            }
+            moves.push(Move {
+                workload: workload.clone(),
+                metric: key.clone(),
+                previous,
+                newest: None,
+                flagged: dropped(workload, key),
             });
         }
     }
@@ -498,5 +520,32 @@ mod tests {
             "retired keys pass the gate"
         );
         assert_eq!(moves.iter().filter(|m| m.newest.is_none()).count(), 2);
+    }
+
+    #[test]
+    fn a_dropped_traced_key_is_flagged_unless_retired() {
+        let doc = parse(
+            r#"{"entries": [
+                {"workloads": {"tune-nets": {"metrics": {"compile_s": 5.0},
+                    "traced": {"codegen.exec_ms": 80.0, "loopir.pack_ms": 3.0, "sim.memo_probes": 2400.0}}}},
+                {"retired": ["sim.memo_probes"],
+                 "workloads": {"tune-nets": {"metrics": {"compile_s": 5.0},
+                    "traced": {"codegen.exec_ms": 300.0}}}}
+            ]}"#,
+        );
+        let moves = trajectory_moves(&doc, &spec_bounds()).expect("two entries");
+        let traced: Vec<(&str, bool)> = moves
+            .iter()
+            .filter(|m| m.metric != "compile_s")
+            .map(|m| (m.metric.as_str(), m.flagged))
+            .collect();
+        // A kept key has no bound, so even a slower layer is no move.
+        assert_eq!(
+            traced,
+            [("loopir.pack_ms", true), ("sim.memo_probes", false)]
+        );
+        assert!(moves
+            .iter()
+            .all(|m| m.metric == "compile_s" || m.newest.is_none()));
     }
 }

@@ -13,9 +13,14 @@
 //! statement keeps only the arm the interpreter would take. The
 //! simplified form is equal to the original at every point the loops
 //! visit, so every access touches the same slot as before; what changes
-//! is that the tuned winners' offsets become affine in their `@vec`
-//! variable, which lets `vec_body` give those loops the stride fast
-//! path and, for `out += a · b`, the typed multiply-accumulate loop.
+//! is that the tuned winners' offsets become affine in their loop
+//! variables. `strides` reads a statement's offset strides in a loop's
+//! variable while the loop's range is open: a `@vec` loop with strides
+//! gets the chunk fast path, and a `@vec` loop over `out += a · b`
+//! starts a [`Walk`] that every enclosing loop joins while it is not
+//! `@par`, holds the walk alone and has strides (enters every offset
+//! affinely and no condition). A joining loop's prologue becomes part of
+//! the walk's, and its extent and strides the walk's new outer level.
 //!
 //! The simplified expressions are compiled by [`SlotCompiler`], the
 //! loop-nest index compiler the layout walks share: structurally equal
@@ -35,9 +40,11 @@ use alt_loopir::{LoopKind, StoreMode};
 use alt_sim::MachineProfile;
 use alt_tensor::expr::Expr;
 use alt_tensor::op::{Cond, ScalarBinOp};
-use alt_tensor::range::{Folded, LoopRanges, SlotCompiler};
+use alt_tensor::range::{Folded, LoopRanges, SlotCompiler, SlotOp};
 
-use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, Mac, NativeKernel, Strided, VecBody};
+use crate::ir::{
+    CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, VecBody, Walk, WalkAccess, WalkLevel,
+};
 
 /// Symbolic side table of one compiled statement, kept only during
 /// compilation to drive the vector-chunk eligibility analysis.
@@ -199,10 +206,46 @@ impl Compiler {
                     body,
                 } => {
                     let var_reg = self.slots.push_loop(var.id(), *extent);
-                    let (cbody, bsyms) = self.compile_nodes(body);
-                    let vec = match (&cbody[..], &bsyms[..]) {
-                        ([CNode::Stmt(s)], [Some(sym)]) if *kind == LoopKind::Vectorized => {
-                            vec_body(self.slots.ranges(), var.id(), s, sym)
+                    let (mut cbody, mut bsyms) = self.compile_nodes(body);
+                    // The strides in this loop's variable of the body's
+                    // statement, when the body is one statement or walk.
+                    let strides = match (&cbody[..], &bsyms[..]) {
+                        ([_], [Some(sym)]) => strides(self.slots.ranges(), var.id(), sym),
+                        _ => None,
+                    };
+                    // A `@vec` loop over `out += a · b` starts a walk, and
+                    // a walk's sole enclosing loop joins it unless `@par`.
+                    let joins = *extent > 0
+                        && match &cbody[..] {
+                            [CNode::Stmt(s)] => *kind == LoopKind::Vectorized && is_mac(s),
+                            [CNode::Walk(_)] => *kind != LoopKind::Parallel,
+                            _ => false,
+                        };
+                    if let (true, Some((store, loads))) = (joins, &strides) {
+                        let mut walk = match cbody.pop() {
+                            Some(CNode::Walk(w)) => w,
+                            Some(CNode::Stmt(s)) => Walk::of(&s),
+                            _ => unreachable!("a walk's body is one node"),
+                        };
+                        walk.enclose(
+                            self.slots.pop_loop(),
+                            WalkLevel {
+                                extent: *extent,
+                                strides: [*store, loads[0], loads[1]],
+                            },
+                        );
+                        out.push(CNode::Walk(walk));
+                        syms.push(bsyms.pop().flatten());
+                        continue;
+                    }
+                    let vec = match (&cbody[..], strides) {
+                        ([CNode::Stmt(_)], Some((store_stride, load_strides)))
+                            if *kind == LoopKind::Vectorized =>
+                        {
+                            Some(VecBody {
+                                store_stride,
+                                load_strides,
+                            })
                         }
                         _ => None,
                     };
@@ -230,45 +273,80 @@ fn cond_uses_var(c: &Cond, var: u32) -> bool {
     }
 }
 
-/// Vector-chunk eligibility for a single-statement `@vec` loop body: all
-/// offsets affine in the loop variable on the loops' `ranges`, no
-/// predicate or `Select` condition depending on it. Lanes then differ
-/// only by fixed offset strides, so the executor can run the integer
-/// prologue once per chunk. A body `out += a · b` over two loads also
-/// gets the typed multiply-accumulate lane loop.
-fn vec_body(ranges: &LoopRanges, var: u32, s: &CStmt, sym: &StmtSym) -> Option<VecBody> {
+/// The strides of a statement's store offset and of its loads (per
+/// [`FOp`] position, non-`Load` positions 0) in loop variable `var`, when
+/// on the loops' `ranges` every offset is affine in `var` and no
+/// predicate or `Select` condition depends on it. Points of the loop then
+/// differ only by fixed offset steps: a `@vec` loop runs its prologue once
+/// per chunk, and a walk level once per walk entry.
+fn strides(ranges: &LoopRanges, var: u32, sym: &StmtSym) -> Option<(i64, Vec<i64>)> {
     if sym.conds.iter().any(|c| cond_uses_var(c, var)) {
         return None;
     }
-    let store_stride = ranges.stride(&sym.store_off, var)?;
-    let mut load_strides = vec![0i64; sym.fops_len];
+    let store = ranges.stride(&sym.store_off, var)?;
+    let mut loads = vec![0i64; sym.fops_len];
     for (idx, e) in &sym.loads {
-        load_strides[*idx] = ranges.stride(e, var)?;
+        loads[*idx] = ranges.stride(e, var)?;
     }
-    let mac = match s.fops[..] {
-        [FOp::Load { buf: a, off: oa }, FOp::Load { buf: b, off: ob }, FOp::Bin(ScalarBinOp::Mul)]
-            if s.mode == StoreMode::AddAcc =>
-        {
-            Some(Mac {
-                a: Strided {
-                    buf: a,
-                    off: oa,
-                    stride: load_strides[0],
-                },
-                b: Strided {
-                    buf: b,
-                    off: ob,
-                    stride: load_strides[1],
-                },
-            })
+    Some((store, loads))
+}
+
+/// Whether a statement is `out += a · b` over two loads, the shape of
+/// nearly every reduction the tuner emits.
+fn is_mac(s: &CStmt) -> bool {
+    s.mode == StoreMode::AddAcc
+        && matches!(
+            s.fops[..],
+            [
+                FOp::Load { .. },
+                FOp::Load { .. },
+                FOp::Bin(ScalarBinOp::Mul)
+            ]
+        )
+}
+
+impl Walk {
+    /// A walk of no level over the multiply-accumulate statement `s`.
+    fn of(s: &CStmt) -> Self {
+        let access = |buf, off| WalkAccess {
+            buf,
+            off,
+            lo: 0,
+            hi: 0,
+        };
+        let [FOp::Load { buf: a, off: oa }, FOp::Load { buf: b, off: ob }, _] = s.fops[..] else {
+            unreachable!("a walk runs `out += a · b`");
+        };
+        Self {
+            prologue: Vec::new(),
+            levels: Vec::new(),
+            access: [access(s.buf, s.off), access(a, oa), access(b, ob)],
+            pred: s.pred,
+            slices: false,
         }
-        _ => None,
-    };
-    Some(VecBody {
-        store_stride,
-        load_strides,
-        mac,
-    })
+    }
+
+    /// Makes the loop whose ops are `prologue` the walk's new outermost
+    /// level, and widens each access's displacement box by its span.
+    fn enclose(&mut self, prologue: Vec<SlotOp>, level: WalkLevel) {
+        self.prologue.splice(0..0, prologue);
+        for (acc, &s) in self.access.iter_mut().zip(&level.strides) {
+            let span = (level.extent - 1) * s;
+            acc.lo += span.min(0);
+            acc.hi += span.max(0);
+        }
+        // The first loop a walk encloses is its innermost level.
+        if self.levels.is_empty() {
+            let [o, a, b] = &self.access;
+            let [so, sa, sb] = level.strides;
+            self.slices = so == 1
+                && matches!(sa, 0 | 1)
+                && matches!(sb, 0 | 1)
+                && o.buf != a.buf
+                && o.buf != b.buf;
+        }
+        self.levels.insert(0, level);
+    }
 }
 
 /// Compiles a lowered program into a [`NativeKernel`] for the given

@@ -11,10 +11,12 @@
 //!   SIMD-width chunk and step the offset registers by their affine
 //!   strides per lane, evaluating lanes *in order* so reduction bits
 //!   match the interpreter.
-//! * **Typed multiply-accumulate** (a fast-path loop whose statement is
-//!   `out += a · b`): run the prologue once and walk three `f32`
-//!   pointers by their strides over the whole extent, each lane doing
-//!   the stack program's loads, multiply, add and store in its order.
+//! * **Walk** (a multiply-accumulate nest, [`Walk`]): run the covered
+//!   loops' prologues once, check each buffer's displacement box once,
+//!   then step three `f32` offsets by the levels' strides in the loop
+//!   tree's order, each point doing the stack program's loads, multiply,
+//!   add and store in its order. The innermost level runs as slice adds
+//!   when its lanes are independent, else as a strided lane loop.
 //! * **Parallel** (`@par`): split the iteration space into contiguous
 //!   ranges on scoped threads. Lowering marks only spatial loops
 //!   parallel, so ranges write disjoint slots and per-slot accumulation
@@ -22,9 +24,10 @@
 //!   worker.
 //!
 //! Buffer accesses are bounds-checked in debug builds and unchecked in
-//! release; offsets come from the same index expressions the interpreter
-//! evaluates, so any out-of-range offset is a lowering bug that the
-//! differential tests catch in debug mode first.
+//! release, except a walk's, whose displacement boxes are checked once per
+//! entry in every build; offsets come from the same index expressions the
+//! interpreter evaluates, so any out-of-range offset is a lowering bug
+//! that the differential tests catch in debug mode first.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -36,7 +39,9 @@ use alt_tensor::op::ScalarBinOp;
 use alt_tensor::range;
 use alt_tensor::{Graph, NdBuf, TensorId};
 
-use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, Mac, NativeKernel, VecBody};
+use crate::ir::{
+    CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, VecBody, Walk, WalkAccess, WalkLevel,
+};
 
 /// Wall-clock accounting of one native run.
 #[derive(Clone, Debug)]
@@ -88,17 +93,18 @@ impl Bufs {
         unsafe { *s.ptr.add(off as usize) }
     }
 
-    /// The base pointer of `buf` for a walk of `n` lanes from `off` by
-    /// `stride`, after checking (in every build: once per walk, not per
-    /// lane) that the first and last lanes, and so every lane between,
-    /// lie inside the buffer.
+    /// The base pointer of an access's buffer for a walk from offset
+    /// `off`, after checking (in every build: once per walk entry, not per
+    /// point) that the access's displacement box around `off`, and so
+    /// every offset the walk touches, lies inside the buffer.
     #[inline]
-    fn lanes(&self, buf: u32, off: i64, stride: i64, n: i64) -> *mut f32 {
-        let s = &self.slots[buf as usize];
-        let last = off + (n - 1) * stride;
+    fn walk(&self, acc: &WalkAccess, off: i64) -> *mut f32 {
+        let s = &self.slots[acc.buf as usize];
+        let (lo, hi) = (off + acc.lo, off + acc.hi);
         assert!(
-            n <= 0 || off.min(last) >= 0 && (off.max(last) as usize) < s.len,
-            "lanes {off}..={last} out of bounds for buffer {buf} (len {})",
+            lo >= 0 && (hi as usize) < s.len,
+            "walk offsets {lo}..={hi} out of bounds for buffer {} (len {})",
+            acc.buf,
             s.len
         );
         s.ptr
@@ -156,6 +162,7 @@ impl Runner<'_> {
             match n {
                 CNode::Stmt(s) => self.run_stmt(s, st, None),
                 CNode::Loop(l) => self.run_loop(l, st, par_ok),
+                CNode::Walk(w) => self.run_walk(w, st),
             }
         }
     }
@@ -209,9 +216,6 @@ impl Runner<'_> {
         let Some(CNode::Stmt(s)) = l.body.first() else {
             unreachable!("vec fast path requires a single-statement body");
         };
-        if let Some(m) = &v.mac {
-            return self.run_mac(l, s, v.store_stride, m, st);
-        }
         let w = i64::from(l.lanes);
         let mut base = 0;
         while base < l.extent {
@@ -225,41 +229,31 @@ impl Runner<'_> {
         }
     }
 
-    /// The typed multiply-accumulate lane loop. The offsets are affine in
-    /// the loop variable, so the prologue runs once, at lane 0, and every
-    /// lane steps the three offsets by their strides. Lanes run in order,
-    /// and each reads `a`, reads `b`, multiplies, reads the old value,
-    /// adds and stores, exactly as the stack program does.
-    fn run_mac(&self, l: &CLoop, s: &CStmt, store_stride: i64, m: &Mac, st: &mut ThreadState) {
-        st.regs[l.var_reg as usize] = 0;
-        range::run(&l.prologue, &mut st.regs);
-        // The predicate does not depend on the lane: a false one skips
-        // every lane's accumulation.
-        if s.pred.is_some_and(|p| st.regs[p as usize] == 0) {
+    /// A multiply-accumulate walk: the covered loops' prologues run once,
+    /// with their variables at 0 (see [`Walk`]), for the base offsets; the
+    /// levels then step the offsets by their strides in the loop tree's
+    /// order. Kept out of line: inlined into `run_nodes`, it slowed the
+    /// loops around short walks (a conv of 2-lane one-level walks ran
+    /// about 10% slower than out of line on a 2-vCPU x86 host).
+    #[inline(never)]
+    fn run_walk(&self, w: &Walk, st: &mut ThreadState) {
+        range::run(&w.prologue, &mut st.regs);
+        // The predicate depends on no covered variable: a false one skips
+        // every point's accumulation.
+        if w.pred.is_some_and(|p| st.regs[p as usize] == 0) {
             return;
         }
-        let n = l.extent;
-        let (mut oo, mut oa, mut ob) = (
-            st.regs[s.off as usize],
-            st.regs[m.a.off as usize],
-            st.regs[m.b.off as usize],
-        );
-        let po = self.bufs.lanes(s.buf, oo, store_stride, n);
-        let pa = self.bufs.lanes(m.a.buf, oa, m.a.stride, n);
-        let pb = self.bufs.lanes(m.b.buf, ob, m.b.stride, n);
-        for _ in 0..n {
-            // SAFETY: every lane's offset lies between the first and the
-            // last, which `lanes` checked against each buffer's length;
-            // parallel workers write disjoint slots (see `Bufs`).
-            unsafe {
-                let x = *pa.offset(oa as isize);
-                let y = *pb.offset(ob as isize);
-                let o = po.offset(oo as isize);
-                *o += x * y;
+        let off = w.access.map(|acc| st.regs[acc.off as usize]);
+        let ptr = [0, 1, 2].map(|k| self.bufs.walk(&w.access[k], off[k]));
+        // SAFETY: `walk` checked each access's box, which holds every
+        // offset the levels reach, against its buffer's length; parallel
+        // workers write disjoint slots (see `Bufs`).
+        unsafe {
+            match &w.levels[..] {
+                // A one-level walk skips the odometer's call.
+                [l] => lanes(l, w.slices, ptr, off),
+                levels => walk_levels(levels, w.slices, ptr, off),
             }
-            oo += store_stride;
-            oa += m.a.stride;
-            ob += m.b.stride;
         }
     }
 
@@ -328,6 +322,69 @@ impl Runner<'_> {
             pc += 1;
         }
         pop(&mut st.stack)
+    }
+}
+
+/// Runs `levels` of a walk from offsets `off` (store, left load, right
+/// load) into the buffers at `ptr`, in the loop tree's order.
+///
+/// # Safety
+///
+/// Every offset the levels reach from `off` must lie inside its buffer.
+unsafe fn walk_levels(levels: &[WalkLevel], slices: bool, ptr: [*mut f32; 3], mut off: [i64; 3]) {
+    match levels {
+        [l] => lanes(l, slices, ptr, off),
+        [l, inner @ ..] => {
+            for _ in 0..l.extent {
+                walk_levels(inner, slices, ptr, off);
+                for (o, s) in off.iter_mut().zip(l.strides) {
+                    *o += s;
+                }
+            }
+        }
+        [] => {}
+    }
+}
+
+/// The innermost level of a walk, `l`: each lane reads `a`, reads `b`,
+/// multiplies, reads the old value, adds and stores, as the stack program
+/// does. With `slices` its lanes are independent, so it runs as slice
+/// adds that rustc vectorizes; every slot still sees its one add.
+///
+/// # Safety
+///
+/// As [`walk_levels`].
+#[inline(always)]
+unsafe fn lanes(l: &WalkLevel, slices: bool, ptr: [*mut f32; 3], off: [i64; 3]) {
+    let n = l.extent as usize;
+    let [po, pa, pb] = ptr;
+    let [mut oo, mut oa, mut ob] = off;
+    if slices {
+        let out = std::slice::from_raw_parts_mut(po.offset(oo as isize), n);
+        let load = |p: *mut f32, o: i64, s: i64| {
+            std::slice::from_raw_parts(p.offset(o as isize), if s == 0 { 1 } else { n })
+        };
+        let (a, b) = (load(pa, oa, l.strides[1]), load(pb, ob, l.strides[2]));
+        match (a, b) {
+            ([x], [y]) => out.iter_mut().for_each(|o| *o += x * y),
+            ([x], b) => out.iter_mut().zip(b).for_each(|(o, y)| *o += x * y),
+            (a, [y]) => out.iter_mut().zip(a).for_each(|(o, x)| *o += x * y),
+            (a, b) => out
+                .iter_mut()
+                .zip(a)
+                .zip(b)
+                .for_each(|((o, x), y)| *o += x * y),
+        }
+        return;
+    }
+    let [so, sa, sb] = l.strides;
+    for _ in 0..n {
+        let x = *pa.offset(oa as isize);
+        let y = *pb.offset(ob as isize);
+        *po.offset(oo as isize) += x * y;
+        oo += so;
+        oa += sa;
+        ob += sb;
     }
 }
 

@@ -15,6 +15,11 @@
 //! * **Float ops** ([`FOp`]) evaluate one statement body as a small stack
 //!   machine in the interpreter's recursive-descent order. `Select`
 //!   becomes a conditional jump so only the taken arm touches memory.
+//!
+//! A multiply-accumulate nest whose offsets are affine in its loops is
+//! one [`Walk`] node in place of those loops and their statement: its
+//! levels' extents and offset strides, the covered loops' prologues, and
+//! each buffer's displacement box for the bounds check.
 
 use alt_loopir::StoreMode;
 use alt_tensor::op::{ScalarBinOp, UnaryOp};
@@ -70,33 +75,60 @@ pub struct VecBody {
     pub store_stride: i64,
     /// Stride per [`FOp`] position (non-`Load` positions hold 0).
     pub load_strides: Vec<i64>,
-    /// The typed multiply-accumulate lane loop; `Some` when the statement
-    /// is `AddAcc` of `Load × Load`, the shape of nearly every reduction
-    /// the tuner emits.
-    pub mac: Option<Mac>,
 }
 
-/// A multiply-accumulate body `out += a · b`, run as a typed loop over
-/// `f32` pointers and strides instead of the stack program. Each lane
-/// performs the stack program's loads, multiply, load of the old value,
-/// add and store in the same order, so the result is bit-identical.
-#[derive(Clone, Copy, Debug)]
-pub struct Mac {
-    /// The first load (the multiply's left operand).
-    pub a: Strided,
-    /// The second load (the multiply's right operand).
-    pub b: Strided,
+/// A multiply-accumulate nest `out += a · b`, run as one strided walk
+/// instead of loops around the stack program.
+///
+/// A walk starts at a `@vec` loop and covers every enclosing loop that is
+/// not `@par`, holds the nest as its only body node, enters the three
+/// offsets affinely and enters no condition of the statement. The
+/// executor runs the covered loops' prologues once per entry, with their
+/// variables at 0, for the base offsets, then steps the offsets by the
+/// levels' strides in the loop tree's order. Each point does the stack
+/// program's loads, multiply, load of the old value, add and store in its
+/// order, so the result is bit-identical.
+///
+/// The covered loops' variable slots are never written: they keep the 0
+/// of the initial slot file, which is where the prologues run.
+#[derive(Clone, Debug)]
+pub struct Walk {
+    /// The covered loops' prologues, outermost first.
+    pub prologue: Vec<SlotOp>,
+    /// The covered loops, outermost first; the last is the `@vec` loop.
+    pub levels: Vec<WalkLevel>,
+    /// The store, then the multiply's left and right loads.
+    pub access: [WalkAccess; 3],
+    /// The store predicate; it depends on no covered variable, so a false
+    /// one skips the whole walk.
+    pub pred: Option<u32>,
+    /// Whether the innermost level runs as independent slice adds: the
+    /// store steps by 1, the loads by 0 or 1, and the output buffer is
+    /// neither input, so no lane reads what another lane writes.
+    pub slices: bool,
 }
 
-/// One strided load of a [`Mac`] body.
+/// One covered loop of a [`Walk`].
 #[derive(Clone, Copy, Debug)]
-pub struct Strided {
-    /// Source buffer index.
+pub struct WalkLevel {
+    /// Trip count.
+    pub extent: i64,
+    /// Offset step per iteration of the store and the two loads.
+    pub strides: [i64; 3],
+}
+
+/// One buffer access of a [`Walk`].
+#[derive(Clone, Copy, Debug)]
+pub struct WalkAccess {
+    /// Buffer index.
     pub buf: u32,
-    /// Register holding the lane-0 offset.
+    /// Register holding the offset with every covered variable at 0.
     pub off: u32,
-    /// Offset step per lane.
-    pub stride: i64,
+    /// Smallest displacement from that offset over the walk: every
+    /// offset the walk touches lies in `off + lo ..= off + hi`.
+    pub lo: i64,
+    /// Largest displacement from that offset over the walk.
+    pub hi: i64,
 }
 
 /// A compiled loop nest node.
@@ -104,6 +136,7 @@ pub struct Strided {
 pub enum CNode {
     Loop(CLoop),
     Stmt(CStmt),
+    Walk(Walk),
 }
 
 /// A compiled loop.
@@ -123,7 +156,8 @@ pub struct CLoop {
     /// Loop body in source order.
     pub body: Vec<CNode>,
     /// Vector fast path; `Some` only when `body` is a single statement
-    /// that passed the affine/predicate-independence analysis.
+    /// that passed the affine/predicate-independence analysis (a
+    /// multiply-accumulate that passes it becomes a [`Walk`] instead).
     pub vec: Option<VecBody>,
 }
 
@@ -159,10 +193,13 @@ pub struct KernelStats {
     pub iops: usize,
     /// Total float ops across all statement bodies.
     pub fops: usize,
-    /// Loops taking the order-preserving vector fast path.
+    /// Loops taking the order-preserving vector fast path; a walk counts
+    /// as one, its innermost level.
     pub vec_loops: usize,
-    /// Fast-path loops that run as typed multiply-accumulate lane loops.
+    /// Multiply-accumulate nests that run as strided walks.
     pub typed_loops: usize,
+    /// Loops the walks cover, summed over the walks.
+    pub walk_levels: usize,
     /// Loops marked parallel.
     pub par_loops: usize,
 }
@@ -174,12 +211,18 @@ impl NativeKernel {
             for n in nodes {
                 match n {
                     CNode::Stmt(st) => s.fops += st.fops.len(),
+                    CNode::Walk(w) => {
+                        // The prologue and the three float ops (two loads
+                        // and a multiply) of the statement it runs.
+                        s.iops += w.prologue.len();
+                        s.fops += 3;
+                        s.vec_loops += 1;
+                        s.typed_loops += 1;
+                        s.walk_levels += w.levels.len();
+                    }
                     CNode::Loop(l) => {
                         s.iops += l.prologue.len();
-                        if let Some(v) = &l.vec {
-                            s.vec_loops += 1;
-                            s.typed_loops += usize::from(v.mac.is_some());
-                        }
+                        s.vec_loops += usize::from(l.vec.is_some());
                         if l.parallel {
                             s.par_loops += 1;
                         }

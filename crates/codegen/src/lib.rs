@@ -46,17 +46,26 @@
 //!    condition takes the same value at every point the loops visit, so
 //!    each load and store touches the same slot, and a `Select` whose
 //!    condition the ranges decide compiles to the arm the interpreter
-//!    takes there. What folding changes is which offsets are affine in an
-//!    `@vec` variable: a tiled layout's `(o·2 + i) / 16` becomes a
-//!    stride, so the vector fast path of property 2 reaches the tuned
-//!    winners' reduction loops.
-//! 5. **The typed multiply-accumulate loop does the stack program's work
-//!    in its order.** A fast-path loop whose statement is `out += a · b`
-//!    runs over `f32` pointers and strides; each lane loads `a`, loads
-//!    `b`, multiplies, loads the old value, adds and stores, in lane
-//!    order, and Rust never contracts a multiply and an add into a fused
-//!    multiply-add. The stack program stays the fallback for every other
-//!    statement shape.
+//!    takes there. What folding changes is which offsets are affine in a
+//!    loop variable: a tiled layout's `(o·2 + i) / 16` becomes a stride,
+//!    so the vector fast path of property 2 and the walks of property 5
+//!    reach the tuned winners' reduction nests.
+//! 5. **A multiply-accumulate walk does the stack program's work in its
+//!    order.** A `@vec` loop whose statement is `out += a · b` grows
+//!    outward into a walk ([`ir::Walk`]) over every enclosing loop that is
+//!    not `@par`, holds the nest alone, enters the three offsets affinely
+//!    and enters no condition. The walk runs the covered loops' prologues
+//!    once per entry for the base offsets, checks each buffer's
+//!    displacement box once, and steps the offsets by the levels' strides
+//!    in the loop tree's order: no loop is interchanged, so every slot
+//!    sees the same adds in the same order. Each point loads `a`, loads
+//!    `b`, multiplies, loads the old value, adds and stores, and Rust
+//!    never contracts a multiply and an add into a fused multiply-add.
+//!    The innermost level runs as slice adds when its lanes write
+//!    distinct slots that no lane reads (store stride 1, load strides 0 or
+//!    1, the output buffer neither input), which rustc vectorizes;
+//!    otherwise it is a strided lane loop. The stack program stays the
+//!    fallback for every other statement shape.
 
 pub mod compile;
 pub mod exec;

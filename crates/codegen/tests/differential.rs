@@ -10,9 +10,12 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use alt_codegen::compile;
-use alt_codegen::ir::{CLoop, CNode, NativeKernel};
+use alt_codegen::ir::{CLoop, CNode, NativeKernel, Walk};
 use alt_layout::{presets, Layout, LayoutPlan, LayoutPrim, PropagationMode};
-use alt_loopir::{lower, run_program, AxisTiling, GraphSchedule, OpSchedule, Program, StoreMode};
+use alt_loopir::tir::TirNode;
+use alt_loopir::{
+    lower, run_program, AxisTiling, GraphSchedule, LoopKind, OpSchedule, Program, StoreMode,
+};
 use alt_models::all_models;
 use alt_sim::{all_profiles, MachineProfile};
 use alt_tensor::exec::random_bindings;
@@ -250,60 +253,87 @@ fn vec_fast_path_and_parallel_loops_are_present() {
     assert!(stats.iops > 0 && stats.fops > 0);
 }
 
-/// Loops whose body is one accumulating statement: the reduction loops,
-/// where native time goes.
-fn acc_loops(kernel: &NativeKernel) -> Vec<&CLoop> {
-    fn walk<'k>(nodes: &'k [CNode], out: &mut Vec<&'k CLoop>) {
+/// A walk with the loops around it, outermost first.
+struct Placed<'k> {
+    walk: &'k Walk,
+    around: Vec<&'k CLoop>,
+}
+
+/// The kernel's walks, and the loops whose body is one accumulating
+/// statement: the reduction loops no walk covers.
+fn walks_and_acc_loops(kernel: &NativeKernel) -> (Vec<Placed<'_>>, Vec<&CLoop>) {
+    fn visit<'k>(
+        nodes: &'k [CNode],
+        around: &mut Vec<&'k CLoop>,
+        walks: &mut Vec<Placed<'k>>,
+        acc: &mut Vec<&'k CLoop>,
+    ) {
         for n in nodes {
-            if let CNode::Loop(l) = n {
-                if let [CNode::Stmt(s)] = &l.body[..] {
-                    if s.mode == StoreMode::AddAcc {
-                        out.push(l);
+            match n {
+                CNode::Walk(walk) => walks.push(Placed {
+                    walk,
+                    around: around.clone(),
+                }),
+                CNode::Loop(l) => {
+                    if let [CNode::Stmt(s)] = &l.body[..] {
+                        if s.mode == StoreMode::AddAcc {
+                            acc.push(l);
+                        }
                     }
+                    around.push(l);
+                    visit(&l.body, around, walks, acc);
+                    around.pop();
                 }
-                walk(&l.body, out);
+                CNode::Stmt(_) => {}
             }
         }
     }
-    let mut out = Vec::new();
+    let (mut walks, mut acc) = (Vec::new(), Vec::new());
     for g in &kernel.groups {
-        walk(&g.nodes, &mut out);
+        visit(&g.nodes, &mut Vec::new(), &mut walks, &mut acc);
     }
-    out
+    (walks, acc)
 }
 
 /// Asserts bit-identity with the interpreter on every profile, and that
-/// every accumulation loop runs as a typed multiply-accumulate loop.
+/// every accumulation loop lies inside a walk. Returns the kernel
+/// compiled for the last profile (walks do not depend on the profile).
 fn assert_typed_and_bit_identical(
     program: &Program,
     g: &Graph,
     plan: &LayoutPlan,
     bindings: &HashMap<TensorId, NdBuf>,
     what: &str,
-) {
+) -> NativeKernel {
+    let mut last = None;
     for p in all_profiles() {
         assert_bit_identical(program, g, plan, bindings, &p, 4, what);
         let kernel = compile(program, &p);
-        let hot = acc_loops(&kernel);
-        assert!(!hot.is_empty(), "{what}: no accumulation loop");
-        for l in hot {
-            assert!(
-                l.vec.as_ref().is_some_and(|v| v.mac.is_some()),
-                "{what} on {}: an accumulation loop is not typed ({:?})",
-                p.name,
-                kernel.stats()
-            );
-        }
-        assert!(kernel.stats().typed_loops > 0);
+        let (walks, acc) = walks_and_acc_loops(&kernel);
+        assert!(!walks.is_empty(), "{what}: no walk");
+        assert!(
+            acc.is_empty(),
+            "{what} on {}: {} accumulation loops lie outside every walk ({:?})",
+            p.name,
+            acc.len(),
+            kernel.stats()
+        );
+        assert_eq!(kernel.stats().typed_loops, walks.len());
+        last = Some(kernel);
     }
+    last.unwrap()
 }
 
-#[test]
-fn gmm_with_tiled_weight_runs_its_reduction_typed() {
-    // The weight's `(K/8) (N/16) 8 16` layout puts the vectorized `n.i`
-    // under `/ 16` and `mod 16`. With `n.i` in [0, 8) the loop ranges
-    // reduce both to strides in `n.i`, so the reduction loop is affine
-    // and takes the typed multiply-accumulate path.
+/// The number of levels of the deepest walk.
+fn deepest_walk(kernel: &NativeKernel) -> usize {
+    let (walks, _) = walks_and_acc_loops(kernel);
+    walks.iter().map(|p| p.walk.levels.len()).max().unwrap_or(0)
+}
+
+/// A GMM with a `(K/8) (N/16) 8 16` weight, tiled `m` by 2, `n` by 8
+/// and `k` by 4: `S0 = m.o n.o` (`@par`), then the init nest and the
+/// accumulation nest `k.o k.i m.i n.i@vec`.
+fn tiled_gmm() -> (Graph, LayoutPlan, Program) {
     let (g, _, op, _) = gmm_graph(8, 16, 32);
     let b = g.node(op).inputs[1];
     let mut plan = LayoutPlan::new(PropagationMode::Full);
@@ -325,8 +355,20 @@ fn gmm_with_tiled_weight_runs_its_reduction_typed() {
         },
     );
     let program = lower(&g, &plan, &sched);
+    (g, plan, program)
+}
+
+#[test]
+fn gmm_with_tiled_weight_runs_its_reduction_typed() {
+    // The weight's layout puts the vectorized `n.i` under `/ 16` and
+    // `mod 16`. With `n.i` in [0, 8) the loop ranges reduce both to
+    // strides in `n.i`, and `k.i` and `m.i` enter every offset affinely,
+    // so the walk covers three levels. `k.o` stops it: `(k.o·4 + k.i) / 8`
+    // is `k.o / 2`.
+    let (g, plan, program) = tiled_gmm();
     let bindings = random_bindings(&g, 11);
-    assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "tiled-weight gmm");
+    let kernel = assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "tiled-weight gmm");
+    assert!(deepest_walk(&kernel) >= 3, "{:?}", kernel.stats());
 }
 
 #[test]
@@ -366,6 +408,162 @@ fn conv_vectorized_on_a_split_output_channel_runs_typed() {
     let program = lower(&g, &plan, &sched);
     let bindings = random_bindings(&g, 12);
     assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "split-channel conv");
+}
+
+/// A batch GMM over row-major layouts, tiled `m` by 4, `n` by 8 and `k`
+/// by 4: `S0 = b m.o n.o` (`@par`), then the init nest and the
+/// accumulation nest `k.o k.i m.i n.i@vec`.
+fn batch_gmm() -> (Graph, LayoutPlan, Program) {
+    let mut g = Graph::new();
+    let a = g.add_input("a", Shape::new([2, 8, 16]));
+    let b = g.add_param("b", Shape::new([2, 16, 32]));
+    let y = ops::batch_gmm(&mut g, a, b);
+    let op = g.tensor(y).producer.unwrap();
+    let plan = LayoutPlan::new(PropagationMode::Full);
+    let mut sched = GraphSchedule::naive();
+    sched.set(
+        op,
+        OpSchedule {
+            spatial: vec![AxisTiling::none(), AxisTiling::one(4), AxisTiling::one(8)],
+            reduce: vec![AxisTiling::one(4)],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    (g, plan, program)
+}
+
+#[test]
+fn batch_gmm_collapses_its_reduction_and_inner_spatial_loops() {
+    // Row-major layouts keep every offset affine, so one walk covers the
+    // whole accumulation nest.
+    let (g, plan, program) = batch_gmm();
+    let bindings = random_bindings(&g, 13);
+    let kernel = assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "batch gmm");
+    assert_eq!(deepest_walk(&kernel), 4, "{:?}", kernel.stats());
+}
+
+/// Asserts that every walk of `kernel` stopped below a serial loop that
+/// holds it alone: the loop entered an offset non-affinely or entered a
+/// condition, as neither `@par` nor a sibling node stopped the walk.
+fn assert_walks_stop_at_an_access(kernel: &NativeKernel, what: &str) {
+    let (walks, _) = walks_and_acc_loops(kernel);
+    assert!(!walks.is_empty(), "{what}: no walk");
+    for p in walks {
+        let parent = p.around.last().expect("a walk inside the tile loops");
+        assert!(
+            !parent.parallel && parent.body.len() == 1,
+            "{what}: the walk stopped at a `@par` loop or a sibling"
+        );
+    }
+}
+
+#[test]
+fn walks_stop_below_a_predicated_or_clamped_loop() {
+    // Padding the output channel puts `0 <= o.o·2 + o.i - 1 < 8` on every
+    // store, so `o.i` enters the statement's predicate: the walk covers
+    // `h.i w.i@vec` and stops below `o.i`.
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new([1, 4, 10, 10]));
+    let w = g.add_param("w", Shape::new([8, 4, 3, 3]));
+    let y = ops::conv2d(&mut g, x, w, ConvCfg::default());
+    let conv = g.tensor(y).producer.unwrap();
+    let mut plan = LayoutPlan::new(PropagationMode::Full);
+    plan.assign_output_layout(
+        &g,
+        conv,
+        Layout::identity(g.tensor(y).shape.clone())
+            .with(LayoutPrim::Pad {
+                dim: 1,
+                before: 1,
+                after: 1,
+            })
+            .unwrap(),
+    );
+    let mut sched = GraphSchedule::naive();
+    sched.set(
+        conv,
+        OpSchedule {
+            spatial: vec![
+                AxisTiling::none(),
+                AxisTiling::one(2),
+                AxisTiling::one(2),
+                AxisTiling::one(4),
+            ],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    let bindings = random_bindings(&g, 14);
+    let kernel = assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "padded conv");
+    assert_walks_stop_at_an_access(&kernel, "padded conv");
+    assert_eq!(deepest_walk(&kernel), 2, "{:?}", kernel.stats());
+
+    // Unfolding the input's rows (tiles of 4 at stride 3) reads row
+    // `h + kh` through a tile index clamped to the last tile, which is
+    // not affine in `h.i`: the walk stops below it.
+    let mut plan = LayoutPlan::new(PropagationMode::Full);
+    plan.assign_input_layout(
+        &g,
+        conv,
+        x,
+        Layout::identity(g.tensor(x).shape.clone())
+            .with(LayoutPrim::Unfold {
+                dim: 2,
+                tile: 4,
+                stride: 3,
+            })
+            .unwrap(),
+    );
+    let program = lower(&g, &plan, &sched);
+    let kernel = assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "unfolded conv");
+    assert_walks_stop_at_an_access(&kernel, "unfolded conv");
+}
+
+#[test]
+fn walks_cross_no_par_loop_and_no_loop_with_a_sibling() {
+    // The batch GMM's walk covers its whole accumulation nest and stops
+    // at `n.o`, which also holds the init nest.
+    let (g, plan, mut program) = batch_gmm();
+    let bindings = random_bindings(&g, 15);
+    let kernel = compile(&program, &alt_sim::intel_cpu());
+    let (walks, _) = walks_and_acc_loops(&kernel);
+    assert_eq!(walks.len(), 1);
+    assert_eq!(walks[0].walk.levels.len(), 4);
+    assert_eq!(walks[0].around.last().unwrap().body.len(), 2);
+    // Marking `m.i` (the loop around `n.i@vec`) `@par` stops the walk at
+    // one level. Each `m.i` iteration writes its own output row, so the
+    // program stays race-free and bit-identical.
+    fn mark_vec_parent_par(nodes: &mut [TirNode]) -> bool {
+        for n in nodes {
+            if let TirNode::Loop { kind, body, .. } = n {
+                let vec_child = matches!(
+                    &body[..],
+                    [TirNode::Loop { kind: LoopKind::Vectorized, body: inner, .. }]
+                        if matches!(&inner[..], [TirNode::Stmt(s)] if s.mode == StoreMode::AddAcc)
+                );
+                if vec_child {
+                    *kind = LoopKind::Parallel;
+                    return true;
+                }
+                if mark_vec_parent_par(body) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+    assert!(mark_vec_parent_par(&mut program.groups[0].nodes));
+    let kernel =
+        assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "gmm with @par m.i");
+    let (walks, _) = walks_and_acc_loops(&kernel);
+    assert_eq!(walks.len(), 1);
+    assert_eq!(walks[0].walk.levels.len(), 1);
+    assert!(walks[0].around.last().unwrap().parallel);
 }
 
 /// Model graphs end to end (prefix-truncated so the interpreter side

@@ -310,8 +310,9 @@ fn run_run(rest: &[String]) -> i32 {
                          Compiles the model (tuning when --budget > 0, unoptimized\n\
                          otherwise) and executes it on random bindings. --native runs\n\
                          the compiled register-based kernel (stride-resolved loops,\n\
-                         SIMD-width chunking, typed multiply-accumulate loops,\n\
-                         scoped-thread @par), prints the kernel's shape and per-op\n\
+                         SIMD-width chunking, multiply-accumulate nests run as strided\n\
+                         walks, scoped-thread @par), prints the kernel's shape (with\n\
+                         the walks and the loop levels they cover) and per-op\n\
                          calibration against the analytic cost model; the default runs\n\
                          the reference interpreter. --check runs both and fails unless\n\
                          outputs are bit-identical; --check-cap truncates the program\n\
@@ -443,6 +444,7 @@ fn run_run(rest: &[String]) -> i32 {
                     "fops": k.fops,
                     "vec_loops": k.vec_loops,
                     "typed_loops": k.typed_loops,
+                    "walk_levels": k.walk_levels,
                     "par_loops": k.par_loops,
                 }),
             );
@@ -477,8 +479,8 @@ fn run_run(rest: &[String]) -> i32 {
         if let Some((_, stats, table, k)) = &native_res {
             println!(
                 "kernel: {} groups, {} integer ops, {} float ops, {} fast-path loops \
-                 ({} typed multiply-accumulate), {} parallel loops",
-                k.groups, k.iops, k.fops, k.vec_loops, k.typed_loops, k.par_loops
+                 ({} typed multiply-accumulate walks over {} walk_levels), {} parallel loops",
+                k.groups, k.iops, k.fops, k.vec_loops, k.typed_loops, k.walk_levels, k.par_loops
             );
             println!(
                 "native: {:.1} us ({} threads); pack {:.1} us, unpack {:.1} us",

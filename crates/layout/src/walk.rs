@@ -10,7 +10,11 @@
 //! native kernels share: hash-consed three-address ops, each placed at
 //! the loop of its deepest variable. A row-major odometer then reruns
 //! only the levels whose variables changed: most ops run once per row or
-//! once per tile, and the innermost level is typically an add or two.
+//! once per tile. A row whose offset is affine in the innermost variable
+//! and whose validity is not computed at the innermost level (so is
+//! constant along the row) is strided: it runs the innermost ops once
+//! and steps the offset by its stride. Other rows (a swizzled or Morton
+//! innermost dimension, padding on it) run the innermost ops per element.
 //!
 //! Conditions that the loop bounds already decide (a coordinate that is a
 //! plain loop variable is always in range, a split's quotient is always
@@ -49,6 +53,10 @@ pub(crate) struct IndexWalk {
     /// loop bounds already guarantee it.
     valid: Option<u32>,
     on_invalid: Invalid,
+    /// The offset's step along a row, when the offset is affine in the
+    /// innermost variable and validity is constant along each row (not
+    /// computed at the innermost level).
+    row_stride: Option<i64>,
 }
 
 impl IndexWalk {
@@ -100,7 +108,7 @@ impl IndexWalk {
         let n = self.extents.len();
         let mut slots = self.init.clone();
         // Every variable starts at zero: run every level but the
-        // innermost, which the row loop below runs per element.
+        // innermost, which each row runs itself.
         for ops in &self.levels[..n.max(1)] {
             range::run(ops, &mut slots);
         }
@@ -108,20 +116,30 @@ impl IndexWalk {
         let mut idx = vec![0i64; n];
         let mut pos = 0usize;
         loop {
-            for i in 0..inner_extent {
-                if n > 0 {
-                    slots[n - 1] = i;
-                    range::run(&self.levels[n], &mut slots);
+            if let Some(stride) = self.row_stride {
+                // A strided row runs its level's ops once, at its first
+                // point, and steps the offset from there.
+                slots[n - 1] = 0;
+                range::run(&self.levels[n], &mut slots);
+                if self.valid_at(&slots, pos)? {
+                    let mut off = slots[self.offset as usize];
+                    for p in pos..pos + inner_extent as usize {
+                        visit(p, off as usize);
+                        off += stride;
+                    }
                 }
-                if self.valid.is_none_or(|v| slots[v as usize] != 0) {
-                    visit(pos, slots[self.offset as usize] as usize);
-                } else if self.on_invalid == Invalid::Fail {
-                    return Err(LayoutError::IndexOutOfBounds {
-                        what: self.what,
-                        index: Shape(self.extents.clone()).unflatten(pos as i64),
-                    });
+                pos += inner_extent as usize;
+            } else {
+                for i in 0..inner_extent {
+                    if n > 0 {
+                        slots[n - 1] = i;
+                        range::run(&self.levels[n], &mut slots);
+                    }
+                    if self.valid_at(&slots, pos)? {
+                        visit(pos, slots[self.offset as usize] as usize);
+                    }
+                    pos += 1;
                 }
-                pos += 1;
             }
             // Advance the odometer over the outer dimensions and rerun
             // the levels of every variable that changed.
@@ -141,6 +159,21 @@ impl IndexWalk {
                 slots[v] = idx[v];
                 range::run(&self.levels[v + 1], &mut slots);
             }
+        }
+    }
+
+    /// Whether the point at row-major position `pos` maps in range; an
+    /// error when it does not and the layout can never map there.
+    fn valid_at(&self, slots: &[i64], pos: usize) -> Result<bool, LayoutError> {
+        if self.valid.is_none_or(|v| slots[v as usize] != 0) {
+            return Ok(true);
+        }
+        match self.on_invalid {
+            Invalid::Skip => Ok(false),
+            Invalid::Fail => Err(LayoutError::IndexOutOfBounds {
+                what: self.what,
+                index: Shape(self.extents.clone()).unflatten(pos as i64),
+            }),
         }
     }
 }
@@ -180,17 +213,19 @@ impl Builder {
             .collect()
     }
 
-    /// The row-major offset of `coords` in a buffer of shape `dims`;
+    /// The row-major offset of `coords` in a buffer of shape `dims`, and
+    /// its stride in the innermost variable where it is affine in it;
     /// pushes each coordinate's range condition onto `valid`.
     fn offset(
         &mut self,
         coords: &[Expr],
         dims: &[i64],
         valid: &mut Vec<u32>,
-    ) -> Result<u32, LayoutError> {
+    ) -> Result<(u32, Option<i64>), LayoutError> {
         let strides = Shape(dims.to_vec()).strides();
         let zero = self.slots.constant(0);
         let mut terms = Vec::with_capacity(coords.len());
+        let mut flat = Expr::c(0);
         for ((c, &d), &s) in coords.iter().zip(dims).zip(&strides) {
             let x = self.slots.expr(c).ok_or_else(|| unbound(c.to_string()))?;
             let bound = self.slots.constant(d);
@@ -198,14 +233,19 @@ impl Builder {
             valid.push(self.slots.op(Code::Lt, x, bound));
             let stride = self.slots.constant(s);
             terms.push(self.slots.op(Code::Bin(BinOp::Mul), x, stride));
+            flat = flat.add(&c.mul_c(s));
         }
-        Ok(self.slots.fold(BinOp::Add, terms, 0))
+        let row_stride = match self.extents.len() {
+            0 => None,
+            n => self.slots.ranges().stride(&flat, (n - 1) as u32),
+        };
+        Ok((self.slots.fold(BinOp::Add, terms, 0), row_stride))
     }
 
     fn finish(
         mut self,
         what: &'static str,
-        offset: u32,
+        (offset, row_stride): (u32, Option<i64>),
         valid: Vec<u32>,
         on_invalid: Invalid,
     ) -> IndexWalk {
@@ -221,6 +261,9 @@ impl Builder {
             self.extents.iter().map(|_| self.slots.pop_loop()).collect();
         levels.push(self.slots.take_root());
         levels.reverse();
+        let inner = &levels[levels.len() - 1];
+        let row_stride =
+            row_stride.filter(|_| valid.is_none_or(|v| inner.iter().all(|op| op.dst != v)));
         IndexWalk {
             what,
             init: self.slots.init(),
@@ -229,6 +272,80 @@ impl Builder {
             offset,
             valid,
             on_invalid,
+            row_stride,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used)]
+
+    use super::*;
+    use crate::presets;
+    use crate::primitives::LayoutPrim;
+
+    /// The pack walk and the unpack walk of `layout`.
+    fn walks(layout: &Layout) -> [IndexWalk; 2] {
+        let unpack = IndexWalk::access("unpack", layout, layout.logical_shape().dims(), None);
+        [IndexWalk::pack(layout).unwrap(), unpack.unwrap()]
+    }
+
+    /// Every `(position, offset)` the walk visits, in order.
+    fn visits(walk: &IndexWalk) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        walk.for_each(|p, o| out.push((p, o))).unwrap();
+        out
+    }
+
+    /// Asserts both walks of `layout` take the strided row, and visit what
+    /// the per-element row visits.
+    fn assert_strided(layout: &Layout) {
+        for mut walk in walks(layout) {
+            assert!(walk.row_stride.is_some(), "{}: not strided", walk.what);
+            let got = visits(&walk);
+            walk.row_stride = None;
+            assert_eq!(got, visits(&walk), "{}", walk.what);
+        }
+    }
+
+    #[test]
+    fn affine_rows_with_constant_validity_are_strided() {
+        let shape = Shape::new([2, 8, 3, 5]);
+        assert_strided(&Layout::identity(shape.clone()));
+        assert_strided(&presets::channel_tiled(shape.clone(), 4).unwrap());
+        // Padding an outer dimension: the pack's validity depends on that
+        // dimension alone, so it is constant along each row.
+        let padded = Layout::identity(shape)
+            .with(LayoutPrim::Pad {
+                dim: 1,
+                before: 1,
+                after: 2,
+            })
+            .unwrap();
+        assert_strided(&padded);
+    }
+
+    #[test]
+    fn non_affine_or_row_varying_rows_are_not_strided() {
+        let swizzled = presets::channel_tiled_swizzled(Shape::new([1, 8, 2, 4]), 4, 2).unwrap();
+        let morton = presets::morton_spatial(Shape::new([2, 4, 4])).unwrap();
+        for layout in [swizzled, morton] {
+            for walk in walks(&layout) {
+                assert!(walk.row_stride.is_none(), "{}: strided", walk.what);
+            }
+        }
+        // Padding the innermost dimension makes the pack's validity vary
+        // along the row, though its offset is affine there.
+        let padded = Layout::identity(Shape::new([3, 5]))
+            .with(LayoutPrim::Pad {
+                dim: 1,
+                before: 1,
+                after: 1,
+            })
+            .unwrap();
+        let [pack, unpack] = walks(&padded);
+        assert!(pack.valid.is_some() && pack.row_stride.is_none());
+        assert!(unpack.row_stride.is_some());
     }
 }
