@@ -16,8 +16,10 @@
 //!   tuner's own random stream, for robustness testing.
 //! * [`checkpoint`] — serializable tuner state: a killed run resumes
 //!   from its last checkpoint at the exact budget point.
+//! * [`budget`] — the paper's split of a budget between the two stages.
 
 mod accounting;
+pub mod budget;
 pub mod checkpoint;
 pub mod fault;
 pub mod features;
@@ -33,6 +35,7 @@ pub mod space;
 pub mod tuner;
 pub mod winner;
 
+pub use budget::{split_budget, NETWORK_JOINT_SHARE, OPERATOR_JOINT_SHARE};
 pub use checkpoint::TunerCheckpoint;
 pub use fault::{Fault, FaultConfig, FaultInjector};
 pub use gbt::{GbtModel, GbtParams};

@@ -9,7 +9,7 @@
 //! * cost-model ranking vs random top-k selection.
 
 use alt_autotune::tuner::{base_schedule, TuneConfig};
-use alt_autotune::{tune_graph, Measurer};
+use alt_autotune::{split_budget, tune_graph, Measurer, NETWORK_JOINT_SHARE};
 use alt_bench::{scaled, BenchReport, TablePrinter};
 use alt_layout::{LayoutPlan, PropagationMode};
 use alt_sim::intel_cpu;
@@ -29,6 +29,7 @@ fn block() -> Graph {
 
 fn main() {
     let budget = scaled(200);
+    let (joint_budget, loop_budget) = split_budget(budget, NETWORK_JOINT_SHARE);
     println!("Design ablations (budget {budget})\n");
     let profile = intel_cpu();
     let mut report = BenchReport::new("ablations");
@@ -39,8 +40,8 @@ fn main() {
     {
         let g = block();
         let cfg = TuneConfig {
-            joint_budget: budget * 2 / 5,
-            loop_budget: budget * 3 / 5,
+            joint_budget,
+            loop_budget,
             free_input_layouts: true,
             seed: 5,
             ..TuneConfig::default()
@@ -76,8 +77,8 @@ fn main() {
             ("None", PropagationMode::None),
         ] {
             let cfg = TuneConfig {
-                joint_budget: budget * 2 / 5,
-                loop_budget: budget * 3 / 5,
+                joint_budget,
+                loop_budget,
                 mode,
                 free_input_layouts: true,
                 seed: 5,
@@ -94,8 +95,8 @@ fn main() {
         let g = block();
         for seeds in [true, false] {
             let cfg = TuneConfig {
-                joint_budget: budget * 2 / 5,
-                loop_budget: budget * 3 / 5,
+                joint_budget,
+                loop_budget,
                 seed_candidates: seeds,
                 free_input_layouts: true,
                 seed: 5,

@@ -3,7 +3,9 @@
 //! Compares the newest entry of every `BENCH_<name>.json` trajectory in a
 //! candidate directory against the newest entry in a baseline directory
 //! and fails (exit 1) when the gated metrics regress by more than the
-//! tolerance in geometric mean.
+//! tolerance in geometric mean, or when the candidate drops a gated
+//! metric the baseline records without naming it in its entry's
+//! `retired` list.
 //!
 //! Trajectories whose entries hold per-workload results (perfbench's
 //! `BENCH_perfbench.json`) have no baseline file: each one's newest
@@ -65,7 +67,9 @@ fn parse_args() -> Result<Args, String> {
                      Compares the newest BENCH_<name>.json trajectory entries in\n\
                      --candidate (default bench_traj) against --baseline (default\n\
                      results/bench_baseline); exits 1 when lower-is-better metrics\n\
-                     regress by more than FRAC (default 0.05) in geometric mean.\n\
+                     regress by more than FRAC (default 0.05) in geometric mean,\n\
+                     or when the candidate drops a gated metric the baseline\n\
+                     records without naming it in its entry's `retired` list.\n\
                      Per-workload trajectories (BENCH_perfbench.json) compare their\n\
                      newest entry with the previous one instead and fail on a move\n\
                      worse than the metric's bound in BENCHMARK.json, or on a\n\
@@ -81,33 +85,91 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The newest trajectory entry of one `BENCH_<name>.json`, flattened to
-/// (budget_scale, metric name -> value).
-fn latest_entry(doc: &Value) -> Option<(f64, Vec<(String, f64)>)> {
+/// The newest entry of one `BENCH_<name>.json` trajectory.
+struct Latest {
+    budget_scale: f64,
+    /// Metric name -> value.
+    metrics: Vec<(String, f64)>,
+    /// The metrics the entry's `retired` list names.
+    retired: Vec<String>,
+}
+
+fn latest_entry(doc: &Value) -> Option<Latest> {
     let entry = doc.get("entries")?.as_array()?.last()?;
-    let scale = entry.get("budget_scale")?.as_f64()?;
     let metrics = entry
         .get("metrics")?
         .as_object()?
         .iter()
         .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
         .collect();
-    Some((scale, metrics))
+    let retired = entry
+        .get("retired")
+        .and_then(Value::as_array)
+        .map(|keys| {
+            keys.iter()
+                .filter_map(Value::as_str)
+                .map(String::from)
+                .collect()
+        })
+        .unwrap_or_default();
+    Some(Latest {
+        budget_scale: entry.get("budget_scale")?.as_f64()?,
+        metrics,
+        retired,
+    })
+}
+
+/// Whether a metric is gated: `latency` names are lower-is-better and
+/// `speedup` names higher-is-better; anything else is informational.
+fn gated(name: &str) -> bool {
+    name.contains("latency") || name.contains("speedup")
 }
 
 /// Regression ratio for one metric: > 1 means the candidate is worse.
 /// `None` for ungated (informational) metrics.
 fn regression_ratio(name: &str, baseline: f64, candidate: f64) -> Option<f64> {
-    if !(baseline > 0.0 && candidate > 0.0) {
+    if !(gated(name) && baseline > 0.0 && candidate > 0.0) {
         return None;
     }
     if name.contains("latency") {
         Some(candidate / baseline)
-    } else if name.contains("speedup") {
-        Some(baseline / candidate)
     } else {
-        None
+        Some(baseline / candidate)
     }
+}
+
+/// One metric of a candidate entry against its baseline entry.
+struct Compared {
+    metric: String,
+    baseline: Option<f64>,
+    candidate: Option<f64>,
+    /// A gated metric the baseline records and the candidate drops
+    /// without retiring it.
+    dropped: bool,
+}
+
+/// Every metric the candidate records, then every metric the baseline
+/// records that the candidate lacks. A gated one of the latter is flagged
+/// as dropped unless the candidate's `retired` list names it.
+fn compare_entries(baseline: &Latest, candidate: &Latest) -> Vec<Compared> {
+    let value = |e: &Latest, m: &str| e.metrics.iter().find(|(k, _)| k == m).map(|(_, v)| *v);
+    let kept = candidate.metrics.iter().map(|(metric, cv)| Compared {
+        metric: metric.clone(),
+        baseline: value(baseline, metric),
+        candidate: Some(*cv),
+        dropped: false,
+    });
+    let lost = baseline
+        .metrics
+        .iter()
+        .filter(|(metric, _)| value(candidate, metric).is_none())
+        .map(|(metric, bv)| Compared {
+            metric: metric.clone(),
+            baseline: Some(*bv),
+            candidate: None,
+            dropped: gated(metric) && !candidate.retired.contains(metric),
+        });
+    kept.chain(lost).collect()
 }
 
 /// One end-to-end metric of `BENCHMARK.json`: name, whether lower is
@@ -299,6 +361,7 @@ fn main() {
     let mut per_bench: Vec<(String, Vec<f64>)> = Vec::new();
     let mut compared = 0usize;
     let mut trajectory_flagged = false;
+    let mut dropped = false;
     for name in &names {
         let cand_path = candidate_dir.join(name);
         let base_path = baseline_dir.join(name);
@@ -323,10 +386,11 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let (Some((cs, cm)), Some((bs, bm))) = (latest_entry(&cand), latest_entry(&base)) else {
+        let (Some(cand), Some(base)) = (latest_entry(&cand), latest_entry(&base)) else {
             eprintln!("error: {name}: trajectory has no complete entries");
             std::process::exit(2);
         };
+        let (cs, bs) = (cand.budget_scale, base.budget_scale);
         if cs != bs {
             println!(
                 "{name}: budget_scale differs (baseline {bs}, candidate {cs}); skipped — \
@@ -336,12 +400,27 @@ fn main() {
         }
         println!("{name} (budget_scale {cs}):");
         let mut bench_ratios: Vec<f64> = Vec::new();
-        for (metric, cv) in &cm {
-            let Some(bv) = bm.iter().find(|(k, _)| k == metric).map(|(_, v)| *v) else {
-                println!("    {metric}: {cv:.4e} (no baseline value)");
-                continue;
+        for c in compare_entries(&base, &cand) {
+            let metric = &c.metric;
+            let (bv, cv) = match (c.baseline, c.candidate) {
+                (Some(bv), Some(cv)) => (bv, cv),
+                (None, Some(cv)) => {
+                    println!("    {metric}: {cv:.4e} (no baseline value)");
+                    continue;
+                }
+                (Some(bv), None) => {
+                    let verdict = if c.dropped {
+                        "DROPPED, not retired"
+                    } else {
+                        "ungated or retired"
+                    };
+                    println!("    {metric}: {bv:.4e} -> none  ({verdict})");
+                    dropped |= c.dropped;
+                    continue;
+                }
+                (None, None) => continue,
             };
-            match regression_ratio(metric, bv, *cv) {
+            match regression_ratio(metric, bv, cv) {
                 Some(r) => {
                     ratios.push(r);
                     bench_ratios.push(r);
@@ -363,10 +442,13 @@ fn main() {
         }
     }
 
+    if dropped {
+        println!("a gated baseline metric was dropped without being retired");
+    }
     if compared == 0 {
         println!("no gated baseline metrics compared");
-        if trajectory_flagged {
-            println!("a trajectory moved worse than its bound -> FAIL");
+        if trajectory_flagged || dropped {
+            println!("a trajectory moved worse than its bound or dropped a metric -> FAIL");
             if !args.report_only {
                 std::process::exit(1);
             }
@@ -391,6 +473,7 @@ fn main() {
         println!("a trajectory moved worse than its bound");
         regressed = true;
     }
+    regressed |= dropped;
     println!(
         "geomean regression ratio over {compared} metric(s): x{gm:.4} \
          (tolerance {:.0}%) -> {}",
@@ -445,6 +528,53 @@ mod tests {
         assert!(moves[1].flagged, "+16% RSS exceeds its 15% bound");
         let single = parse(&format!(r#"{{"entries": [{}]}}"#, entry("a", 1.0, 1.0)));
         assert!(trajectory_moves(&single, &bounds).is_none());
+    }
+
+    fn latest(metrics: &[(&str, f64)], retired: &[&str]) -> Latest {
+        Latest {
+            budget_scale: 0.25,
+            metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            retired: retired.iter().map(|k| k.to_string()).collect(),
+        }
+    }
+
+    /// The baseline metrics a candidate recording only the geomean
+    /// latency drops, each with whether it is flagged.
+    fn dropped(retired: &[&str]) -> Vec<(String, bool)> {
+        let base = latest(
+            &[
+                ("intel-cpu/alt_geomean_latency_s", 3.5e-6),
+                ("intel-cpu/alt_vs_ansor_speedup", 1.66),
+                ("intel-cpu/native_exec_us", 1.2e5),
+            ],
+            &[],
+        );
+        let cand = latest(&[("intel-cpu/alt_geomean_latency_s", 3.5e-6)], retired);
+        compare_entries(&base, &cand)
+            .into_iter()
+            .filter(|c| c.candidate.is_none())
+            .map(|c| (c.metric, c.dropped))
+            .collect()
+    }
+
+    #[test]
+    fn a_dropped_gated_baseline_metric_is_flagged() {
+        let flagged = dropped(&[]);
+        assert!(flagged.contains(&("intel-cpu/alt_vs_ansor_speedup".into(), true)));
+    }
+
+    #[test]
+    fn a_retired_baseline_metric_is_not_flagged() {
+        let flagged = dropped(&["intel-cpu/alt_vs_ansor_speedup"]);
+        assert!(flagged.contains(&("intel-cpu/alt_vs_ansor_speedup".into(), false)));
+    }
+
+    #[test]
+    fn an_ungated_baseline_metric_is_never_flagged() {
+        for retired in [&[][..], &["intel-cpu/native_exec_us"][..]] {
+            let flagged = dropped(retired);
+            assert!(flagged.contains(&("intel-cpu/native_exec_us".into(), false)));
+        }
     }
 
     fn spec_bounds() -> Vec<Bound> {

@@ -14,8 +14,8 @@
 
 use std::collections::HashMap;
 
-use alt_autotune::tune_graph;
 use alt_autotune::tuner::{TuneConfig, TuneResult};
+use alt_autotune::{split_budget, tune_graph, OPERATOR_JOINT_SHARE};
 use alt_baselines::{ansor_like, autotvm_like, flextensor_like, vendor_plan};
 use alt_bench::{normalized_performance, scaled, single_op_cases, BenchReport, TablePrinter};
 use alt_layout::LayoutPrim;
@@ -36,11 +36,10 @@ fn alt_tune(
     store: Option<std::sync::Arc<alt_store::Store>>,
     timing: alt_telemetry::Timing,
 ) -> TuneResult {
-    // Paper split: 300/700 of 1000 => 30%/70%.
-    let joint = (budget as f64 * 0.3) as u64;
+    let (joint_budget, loop_budget) = split_budget(budget, OPERATOR_JOINT_SHARE);
     let cfg = TuneConfig {
-        joint_budget: joint,
-        loop_budget: budget - joint,
+        joint_budget,
+        loop_budget,
         free_input_layouts: true,
         seed,
         jobs: alt_bench::jobs(),

@@ -14,8 +14,8 @@
 
 use std::collections::HashMap;
 
-use alt_autotune::tune_graph;
 use alt_autotune::tuner::TuneConfig;
+use alt_autotune::{split_budget, tune_graph, NETWORK_JOINT_SHARE};
 use alt_baselines::{alt_ol, alt_wp, ansor_like, autotvm_like, vendor_plan};
 use alt_bench::{normalized_performance, scaled, BenchReport, TablePrinter};
 use alt_layout::PropagationMode;
@@ -34,11 +34,10 @@ fn alt_full_e2e(
     store: Option<std::sync::Arc<alt_store::Store>>,
     timing: alt_telemetry::Timing,
 ) -> alt_autotune::tuner::TuneResult {
-    // Paper split: 8000/12000 of 20000 => 40%/60%.
-    let joint = (budget as f64 * 0.4) as u64;
+    let (joint_budget, loop_budget) = split_budget(budget, NETWORK_JOINT_SHARE);
     let cfg = TuneConfig {
-        joint_budget: joint,
-        loop_budget: budget - joint,
+        joint_budget,
+        loop_budget,
         mode: PropagationMode::Full,
         free_input_layouts: false,
         seed,
@@ -171,11 +170,8 @@ fn main() {
             }
             lats.insert("ALT".into(), alt.latency);
             lats.insert("ALT-OL".into(), alt_ol(&g, profile, budget, 1).latency);
-            let joint = (budget as f64 * 0.4) as u64;
-            lats.insert(
-                "ALT-WP".into(),
-                alt_wp(&g, profile, joint, budget - joint, 1).latency,
-            );
+            let (joint, rest) = split_budget(budget, NETWORK_JOINT_SHARE);
+            lats.insert("ALT-WP".into(), alt_wp(&g, profile, joint, rest, 1).latency);
             let mut row = vec![name.clone()];
             for sys in SYSTEMS {
                 row.push(format!("{:.2}ms", lats[sys] * 1e3));

@@ -12,8 +12,8 @@
 //! most of the gap (within ~6%), demonstrating space-size/budget
 //! trade-off scalability.
 
-use alt_autotune::tune_graph;
 use alt_autotune::tuner::TuneConfig;
+use alt_autotune::{split_budget, tune_graph, NETWORK_JOINT_SHARE};
 use alt_bench::{scaled, BenchReport, TablePrinter};
 use alt_models::{bert_base, mobilenet_v2, resnet18, resnet3d_18};
 use alt_sim::{intel_cpu, nvidia_gpu};
@@ -48,10 +48,10 @@ fn main() {
             ("R3D-b1", resnet3d_18(1)),
         ] {
             let run = |levels: u8, b: u64| {
-                let joint = (b as f64 * 0.4) as u64;
+                let (joint_budget, loop_budget) = split_budget(b, NETWORK_JOINT_SHARE);
                 let cfg = TuneConfig {
-                    joint_budget: joint,
-                    loop_budget: b - joint,
+                    joint_budget,
+                    loop_budget,
                     levels,
                     seed: 13,
                     ..TuneConfig::default()

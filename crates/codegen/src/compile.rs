@@ -15,12 +15,12 @@
 //! visit, so every access touches the same slot as before; what changes
 //! is that the tuned winners' offsets become affine in their loop
 //! variables. `strides` reads a statement's offset strides in a loop's
-//! variable while the loop's range is open: a `@vec` loop with strides
-//! gets the chunk fast path, and a `@vec` loop over `out += a · b`
-//! starts a [`Walk`] that every enclosing loop joins while it is not
-//! `@par`, holds the walk alone and has strides (enters every offset
-//! affinely and no condition). A joining loop's prologue becomes part of
-//! the walk's, and its extent and strides the walk's new outer level.
+//! variable while the loop's range is open: a loop that is not `@par`,
+//! holds one statement alone and has strides (enters every offset
+//! affinely and no condition) starts a [`Walk`], and every enclosing loop
+//! joins it while it is not `@par`, holds the walk alone and has strides.
+//! A joining loop's prologue becomes part of the walk's, and its extent
+//! and strides the walk's new outer level.
 //!
 //! The simplified expressions are compiled by [`SlotCompiler`], the
 //! loop-nest index compiler the layout walks share: structurally equal
@@ -42,28 +42,22 @@ use alt_tensor::expr::Expr;
 use alt_tensor::op::{Cond, ScalarBinOp};
 use alt_tensor::range::{Folded, LoopRanges, SlotCompiler, SlotOp};
 
-use crate::ir::{
-    CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, VecBody, Walk, WalkAccess, WalkLevel,
-};
+use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, Walk, WalkAccess, WalkLevel};
 
 /// Symbolic side table of one compiled statement, kept only during
-/// compilation to drive the vector-chunk eligibility analysis.
+/// compilation to decide which loops its walk covers.
 struct StmtSym {
-    /// Flattened store-offset expression.
-    store_off: Expr,
-    /// `(fop index, flattened offset expression)` per load.
-    loads: Vec<(usize, Expr)>,
+    /// Flattened offset expressions: the store's, then each load's in
+    /// stack-program order.
+    offsets: Vec<Expr>,
     /// Every condition the statement consults that the loop ranges do
     /// not decide: the store predicate plus `Select` conditions.
     conds: Vec<Cond>,
-    /// Length of the statement's float program.
-    fops_len: usize,
 }
 
 struct Compiler {
     /// Row-major physical strides per buffer.
     strides: Vec<Vec<i64>>,
-    lanes: u32,
     slots: SlotCompiler,
 }
 
@@ -107,7 +101,7 @@ impl Compiler {
             SExpr::Load { buf, indices } => {
                 let off_sym = self.flat_offset(*buf, indices);
                 let off = self.compile_expr(&off_sym);
-                sym.loads.push((fops.len(), off_sym));
+                sym.offsets.push(off_sym);
                 fops.push(FOp::Load {
                     buf: buf.0 as u32,
                     off,
@@ -154,10 +148,8 @@ impl Compiler {
         let store_off = self.flat_offset(s.buf, &s.indices);
         let off = self.compile_expr(&store_off);
         let mut sym = StmtSym {
-            store_off,
-            loads: Vec::new(),
+            offsets: vec![store_off],
             conds: Vec::new(),
-            fops_len: 0,
         };
         // An always-true predicate is dropped; an always-false one stays
         // as a constant 0 so the statement keeps its invalid-slot effect.
@@ -176,7 +168,6 @@ impl Compiler {
         };
         let mut fops = Vec::new();
         self.compile_sexpr(&s.value, &mut fops, &mut sym);
-        sym.fops_len = fops.len();
         (
             CStmt {
                 buf: s.buf.0 as u32,
@@ -207,56 +198,32 @@ impl Compiler {
                 } => {
                     let var_reg = self.slots.push_loop(var.id(), *extent);
                     let (mut cbody, mut bsyms) = self.compile_nodes(body);
-                    // The strides in this loop's variable of the body's
-                    // statement, when the body is one statement or walk.
-                    let strides = match (&cbody[..], &bsyms[..]) {
-                        ([_], [Some(sym)]) => strides(self.slots.ranges(), var.id(), sym),
+                    // A loop that is not `@par` and holds one statement or
+                    // walk alone starts or joins a walk when the statement
+                    // has strides in its variable.
+                    let strides = match &bsyms[..] {
+                        [Some(sym)] if *extent > 0 && *kind != LoopKind::Parallel => {
+                            strides(self.slots.ranges(), var.id(), sym)
+                        }
                         _ => None,
                     };
-                    // A `@vec` loop over `out += a · b` starts a walk, and
-                    // a walk's sole enclosing loop joins it unless `@par`.
-                    let joins = *extent > 0
-                        && match &cbody[..] {
-                            [CNode::Stmt(s)] => *kind == LoopKind::Vectorized && is_mac(s),
-                            [CNode::Walk(_)] => *kind != LoopKind::Parallel,
-                            _ => false,
-                        };
-                    if let (true, Some((store, loads))) = (joins, &strides) {
+                    if let Some(strides) = strides {
                         let mut walk = match cbody.pop() {
                             Some(CNode::Walk(w)) => w,
-                            Some(CNode::Stmt(s)) => Walk::of(&s),
+                            Some(CNode::Stmt(s)) => Walk::of(s),
                             _ => unreachable!("a walk's body is one node"),
                         };
-                        walk.enclose(
-                            self.slots.pop_loop(),
-                            WalkLevel {
-                                extent: *extent,
-                                strides: [*store, loads[0], loads[1]],
-                            },
-                        );
+                        walk.enclose(self.slots.pop_loop(), *extent, strides);
                         out.push(CNode::Walk(walk));
                         syms.push(bsyms.pop().flatten());
                         continue;
                     }
-                    let vec = match (&cbody[..], strides) {
-                        ([CNode::Stmt(_)], Some((store_stride, load_strides)))
-                            if *kind == LoopKind::Vectorized =>
-                        {
-                            Some(VecBody {
-                                store_stride,
-                                load_strides,
-                            })
-                        }
-                        _ => None,
-                    };
                     out.push(CNode::Loop(CLoop {
                         var_reg,
                         extent: *extent,
                         parallel: *kind == LoopKind::Parallel,
-                        lanes: self.lanes,
                         prologue: self.slots.pop_loop(),
                         body: cbody,
-                        vec,
                     }));
                     syms.push(None);
                 }
@@ -273,22 +240,16 @@ fn cond_uses_var(c: &Cond, var: u32) -> bool {
     }
 }
 
-/// The strides of a statement's store offset and of its loads (per
-/// [`FOp`] position, non-`Load` positions 0) in loop variable `var`, when
-/// on the loops' `ranges` every offset is affine in `var` and no
-/// predicate or `Select` condition depends on it. Points of the loop then
-/// differ only by fixed offset steps: a `@vec` loop runs its prologue once
-/// per chunk, and a walk level once per walk entry.
-fn strides(ranges: &LoopRanges, var: u32, sym: &StmtSym) -> Option<(i64, Vec<i64>)> {
+/// The strides of a statement's offsets (the store's, then each load's)
+/// in loop variable `var`, when on the loops' `ranges` every offset is
+/// affine in `var` and no predicate or `Select` condition depends on it.
+/// Points of the loop then differ only by fixed offset steps, and a walk
+/// level runs its prologue once per walk entry.
+fn strides(ranges: &LoopRanges, var: u32, sym: &StmtSym) -> Option<Vec<i64>> {
     if sym.conds.iter().any(|c| cond_uses_var(c, var)) {
         return None;
     }
-    let store = ranges.stride(&sym.store_off, var)?;
-    let mut loads = vec![0i64; sym.fops_len];
-    for (idx, e) in &sym.loads {
-        loads[*idx] = ranges.stride(e, var)?;
-    }
-    Some((store, loads))
+    sym.offsets.iter().map(|e| ranges.stride(e, var)).collect()
 }
 
 /// Whether a statement is `out += a · b` over two loads, the shape of
@@ -306,56 +267,75 @@ fn is_mac(s: &CStmt) -> bool {
 }
 
 impl Walk {
-    /// A walk of no level over the multiply-accumulate statement `s`.
-    fn of(s: &CStmt) -> Self {
+    /// A walk of no level over the statement `stmt`.
+    fn of(stmt: CStmt) -> Self {
         let access = |buf, off| WalkAccess {
             buf,
             off,
             lo: 0,
             hi: 0,
         };
-        let [FOp::Load { buf: a, off: oa }, FOp::Load { buf: b, off: ob }, _] = s.fops[..] else {
-            unreachable!("a walk runs `out += a · b`");
-        };
+        let loads = stmt.fops.iter().filter_map(|f| match *f {
+            FOp::Load { buf, off } => Some(access(buf, off)),
+            _ => None,
+        });
         Self {
             prologue: Vec::new(),
             levels: Vec::new(),
-            access: [access(s.buf, s.off), access(a, oa), access(b, ob)],
-            pred: s.pred,
-            slices: false,
+            access: std::iter::once(access(stmt.buf, stmt.off))
+                .chain(loads)
+                .collect(),
+            mac: is_mac(&stmt).then_some(false),
+            stmt,
         }
     }
 
     /// Makes the loop whose ops are `prologue` the walk's new outermost
-    /// level, and widens each access's displacement box by its span.
-    fn enclose(&mut self, prologue: Vec<SlotOp>, level: WalkLevel) {
+    /// level, given its accesses' `strides`: widens each access's
+    /// displacement box by its span and records the level's steps.
+    fn enclose(&mut self, prologue: Vec<SlotOp>, extent: i64, strides: Vec<i64>) {
         self.prologue.splice(0..0, prologue);
-        for (acc, &s) in self.access.iter_mut().zip(&level.strides) {
-            let span = (level.extent - 1) * s;
+        for (acc, &s) in self.access.iter_mut().zip(&strides) {
+            let span = (extent - 1) * s;
             acc.lo += span.min(0);
             acc.hi += span.max(0);
         }
-        // The first loop a walk encloses is its innermost level.
-        if self.levels.is_empty() {
-            let [o, a, b] = &self.access;
-            let [so, sa, sb] = level.strides;
-            self.slices = so == 1
-                && matches!(sa, 0 | 1)
-                && matches!(sb, 0 | 1)
-                && o.buf != a.buf
-                && o.buf != b.buf;
+        let (mut mac, mut steps) = ([0; 3], Vec::new());
+        match (&mut self.mac, &self.access[..]) {
+            (Some(slices), [o, a, b]) => {
+                mac = [strides[0], strides[1], strides[2]];
+                let [so, sa, sb] = mac;
+                // The first loop a walk encloses is its innermost level.
+                if self.levels.is_empty() {
+                    *slices = so == 1
+                        && matches!(sa, 0 | 1)
+                        && matches!(sb, 0 | 1)
+                        && o.buf != a.buf
+                        && o.buf != b.buf;
+                }
+            }
+            // Other statements step their offset slots in place, so a slot
+            // that several accesses share steps once; equal slots take equal
+            // values at every point, and so have equal strides.
+            (_, access) => {
+                for (acc, &s) in access.iter().zip(&strides) {
+                    if s != 0 && !steps.iter().any(|&(reg, _)| reg == acc.off) {
+                        steps.push((acc.off, s));
+                    }
+                }
+            }
         }
-        self.levels.insert(0, level);
+        self.levels.insert(0, WalkLevel { extent, steps, mac });
     }
 }
 
-/// Compiles a lowered program into a [`NativeKernel`] for the given
-/// machine profile (which only contributes the SIMD chunk width; the
-/// kernel's *semantics* are profile-independent by construction).
-pub fn compile(program: &Program, profile: &MachineProfile) -> NativeKernel {
+/// Compiles a lowered program into a [`NativeKernel`]. The machine
+/// profile does not affect the kernel: a program compiles to the same
+/// kernel for every profile. The parameter stays for callers that compile
+/// per target.
+pub fn compile(program: &Program, _profile: &MachineProfile) -> NativeKernel {
     let mut c = Compiler {
         strides: program.buffers.iter().map(|b| b.shape.strides()).collect(),
-        lanes: profile.vector_lanes.max(1),
         slots: SlotCompiler::new(),
     };
     let mut groups = Vec::with_capacity(program.groups.len());

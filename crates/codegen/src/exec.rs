@@ -4,19 +4,18 @@
 //! integer prologues into a flat register file through the op loop the
 //! layout walks also use ([`alt_tensor::range::run`]), statement bodies
 //! on a reusable value stack — touching buffers only through precomputed
-//! flat offsets. Four loop strategies exist:
+//! flat offsets. Three loop strategies exist:
 //!
 //! * **Scalar**: bind the loop register, run the prologue, run the body.
-//! * **Vector chunk** (`@vec` fast path): run the prologue once per
-//!   SIMD-width chunk and step the offset registers by their affine
-//!   strides per lane, evaluating lanes *in order* so reduction bits
-//!   match the interpreter.
-//! * **Walk** (a multiply-accumulate nest, [`Walk`]): run the covered
-//!   loops' prologues once, check each buffer's displacement box once,
-//!   then step three `f32` offsets by the levels' strides in the loop
-//!   tree's order, each point doing the stack program's loads, multiply,
-//!   add and store in its order. The innermost level runs as slice adds
-//!   when its lanes are independent, else as a strided lane loop.
+//! * **Walk** (a single-statement nest, [`Walk`]): run the covered loops'
+//!   prologues once, then step the statement's offsets by the levels'
+//!   strides in the loop tree's order. A multiply-accumulate checks each
+//!   buffer's displacement box once and steps three `f32` offsets, each
+//!   point doing the stack program's loads, multiply, add and store in its
+//!   order; its innermost level runs as slice adds when its lanes are
+//!   independent, else as a strided lane loop. Any other statement steps
+//!   its offset registers in place and runs its stack program at each
+//!   point.
 //! * **Parallel** (`@par`): split the iteration space into contiguous
 //!   ranges on scoped threads. Lowering marks only spatial loops
 //!   parallel, so ranges write disjoint slots and per-slot accumulation
@@ -24,9 +23,11 @@
 //!   worker.
 //!
 //! Buffer accesses are bounds-checked in debug builds and unchecked in
-//! release, except a walk's, whose displacement boxes are checked once per
-//! entry in every build; offsets come from the same index expressions the
-//! interpreter evaluates, so any out-of-range offset is a lowering bug
+//! release, except a multiply-accumulate walk's, whose displacement boxes
+//! are checked once per entry in every build (a stack program's load in
+//! an untaken `Select` arm may lie out of range, so other walks check
+//! only what they touch); offsets come from the same index expressions
+//! the interpreter evaluates, so any out-of-range offset is a lowering bug
 //! that the differential tests catch in debug mode first.
 
 use std::collections::HashMap;
@@ -39,9 +40,7 @@ use alt_tensor::op::ScalarBinOp;
 use alt_tensor::range;
 use alt_tensor::{Graph, NdBuf, TensorId};
 
-use crate::ir::{
-    CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, VecBody, Walk, WalkAccess, WalkLevel,
-};
+use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, Walk, WalkAccess, WalkLevel};
 
 /// Wall-clock accounting of one native run.
 #[derive(Clone, Debug)]
@@ -160,7 +159,7 @@ impl Runner<'_> {
     fn run_nodes(&self, nodes: &[CNode], st: &mut ThreadState, par_ok: bool) {
         for n in nodes {
             match n {
-                CNode::Stmt(s) => self.run_stmt(s, st, None),
+                CNode::Stmt(s) => self.run_stmt(s, st),
                 CNode::Loop(l) => self.run_loop(l, st, par_ok),
                 CNode::Walk(w) => self.run_walk(w, st),
             }
@@ -170,9 +169,6 @@ impl Runner<'_> {
     fn run_loop(&self, l: &CLoop, st: &mut ThreadState, par_ok: bool) {
         if l.parallel && par_ok && self.threads > 1 && l.extent > 1 {
             return self.run_parallel(l, st);
-        }
-        if let Some(v) = &l.vec {
-            return self.run_vec(l, v, st);
         }
         for i in 0..l.extent {
             st.regs[l.var_reg as usize] = i;
@@ -209,41 +205,26 @@ impl Runner<'_> {
         });
     }
 
-    /// The `@vec` fast path: one prologue per SIMD-width chunk, lanes
-    /// derived by stepping offsets — and evaluated strictly in lane
-    /// order, preserving the interpreter's accumulation sequence.
-    fn run_vec(&self, l: &CLoop, v: &VecBody, st: &mut ThreadState) {
-        let Some(CNode::Stmt(s)) = l.body.first() else {
-            unreachable!("vec fast path requires a single-statement body");
-        };
-        let w = i64::from(l.lanes);
-        let mut base = 0;
-        while base < l.extent {
-            st.regs[l.var_reg as usize] = base;
-            range::run(&l.prologue, &mut st.regs);
-            let lanes = w.min(l.extent - base);
-            for lane in 0..lanes {
-                self.run_stmt(s, st, Some((lane, v)));
-            }
-            base += w;
-        }
-    }
-
-    /// A multiply-accumulate walk: the covered loops' prologues run once,
-    /// with their variables at 0 (see [`Walk`]), for the base offsets; the
-    /// levels then step the offsets by their strides in the loop tree's
-    /// order. Kept out of line: inlined into `run_nodes`, it slowed the
-    /// loops around short walks (a conv of 2-lane one-level walks ran
-    /// about 10% slower than out of line on a 2-vCPU x86 host).
+    /// A walk: the covered loops' prologues run once, with their variables
+    /// at 0 (see [`Walk`]), for the base offsets; the levels then step the
+    /// offsets by their strides in the loop tree's order. Kept out of line:
+    /// inlined into `run_nodes`, it slowed the loops around short walks (a
+    /// conv of 2-lane one-level walks ran about 10% slower than out of line
+    /// on a 2-vCPU x86 host).
     #[inline(never)]
     fn run_walk(&self, w: &Walk, st: &mut ThreadState) {
         range::run(&w.prologue, &mut st.regs);
         // The predicate depends on no covered variable: a false one skips
-        // every point's accumulation.
-        if w.pred.is_some_and(|p| st.regs[p as usize] == 0) {
+        // an accumulating walk, and `run_stmt` zeros every point of an
+        // `Assign` one.
+        let s = &w.stmt;
+        if s.mode != StoreMode::Assign && s.pred.is_some_and(|p| st.regs[p as usize] == 0) {
             return;
         }
-        let off = w.access.map(|acc| st.regs[acc.off as usize]);
+        let Some(slices) = w.mac else {
+            return self.points(w, &w.levels, st);
+        };
+        let off = [0, 1, 2].map(|k| st.regs[w.access[k].off as usize]);
         let ptr = [0, 1, 2].map(|k| self.bufs.walk(&w.access[k], off[k]));
         // SAFETY: `walk` checked each access's box, which holds every
         // offset the levels reach, against its buffer's length; parallel
@@ -251,17 +232,34 @@ impl Runner<'_> {
         unsafe {
             match &w.levels[..] {
                 // A one-level walk skips the odometer's call.
-                [l] => lanes(l, w.slices, ptr, off),
-                levels => walk_levels(levels, w.slices, ptr, off),
+                [l] => lanes(l, slices, ptr, off),
+                levels => walk_levels(levels, slices, ptr, off),
             }
         }
     }
 
-    fn run_stmt(&self, s: &CStmt, st: &mut ThreadState, lane: Option<(i64, &VecBody)>) {
-        let mut off = st.regs[s.off as usize];
-        if let Some((lane, v)) = lane {
-            off += lane * v.store_stride;
+    /// Runs the statement of `w` at every point of `levels`, stepping its
+    /// offset slots in place in the loop tree's order; each level leaves
+    /// the slots as it found them.
+    fn points(&self, w: &Walk, levels: &[WalkLevel], st: &mut ThreadState) {
+        let [l, inner @ ..] = levels else { return };
+        for _ in 0..l.extent {
+            if inner.is_empty() {
+                self.run_stmt(&w.stmt, st);
+            } else {
+                self.points(w, inner, st);
+            }
+            for &(reg, s) in &l.steps {
+                st.regs[reg as usize] += s;
+            }
         }
+        for &(reg, s) in &l.steps {
+            st.regs[reg as usize] -= l.extent * s;
+        }
+    }
+
+    fn run_stmt(&self, s: &CStmt, st: &mut ThreadState) {
+        let off = st.regs[s.off as usize];
         if let Some(p) = s.pred {
             if st.regs[p as usize] == 0 {
                 // Interpreter pad/overhang semantics: invalid slots are
@@ -272,7 +270,7 @@ impl Runner<'_> {
                 return;
             }
         }
-        let v = self.eval_fops(s, st, lane);
+        let v = self.eval_fops(s, st);
         match s.mode {
             StoreMode::Assign => self.bufs.write(s.buf, off, v),
             StoreMode::AddAcc => {
@@ -286,19 +284,13 @@ impl Runner<'_> {
         }
     }
 
-    fn eval_fops(&self, s: &CStmt, st: &mut ThreadState, lane: Option<(i64, &VecBody)>) -> f32 {
+    fn eval_fops(&self, s: &CStmt, st: &mut ThreadState) -> f32 {
         st.stack.clear();
         let mut pc = 0usize;
         while pc < s.fops.len() {
             match s.fops[pc] {
                 FOp::Imm(v) => st.stack.push(v),
-                FOp::Load { buf, off } => {
-                    let mut o = st.regs[off as usize];
-                    if let Some((lane, v)) = lane {
-                        o += lane * v.load_strides[pc];
-                    }
-                    st.stack.push(self.bufs.read(buf, o));
-                }
+                FOp::Load { buf, off } => st.stack.push(self.bufs.read(buf, st.regs[off as usize])),
                 FOp::Bin(op) => {
                     let b = pop(&mut st.stack);
                     let a = pop(&mut st.stack);
@@ -337,7 +329,7 @@ unsafe fn walk_levels(levels: &[WalkLevel], slices: bool, ptr: [*mut f32; 3], mu
         [l, inner @ ..] => {
             for _ in 0..l.extent {
                 walk_levels(inner, slices, ptr, off);
-                for (o, s) in off.iter_mut().zip(l.strides) {
+                for (o, s) in off.iter_mut().zip(l.mac) {
                     *o += s;
                 }
             }
@@ -359,12 +351,13 @@ unsafe fn lanes(l: &WalkLevel, slices: bool, ptr: [*mut f32; 3], off: [i64; 3]) 
     let n = l.extent as usize;
     let [po, pa, pb] = ptr;
     let [mut oo, mut oa, mut ob] = off;
+    let [so, sa, sb] = l.mac;
     if slices {
         let out = std::slice::from_raw_parts_mut(po.offset(oo as isize), n);
         let load = |p: *mut f32, o: i64, s: i64| {
             std::slice::from_raw_parts(p.offset(o as isize), if s == 0 { 1 } else { n })
         };
-        let (a, b) = (load(pa, oa, l.strides[1]), load(pb, ob, l.strides[2]));
+        let (a, b) = (load(pa, oa, sa), load(pb, ob, sb));
         match (a, b) {
             ([x], [y]) => out.iter_mut().for_each(|o| *o += x * y),
             ([x], b) => out.iter_mut().zip(b).for_each(|(o, y)| *o += x * y),
@@ -377,7 +370,6 @@ unsafe fn lanes(l: &WalkLevel, slices: bool, ptr: [*mut f32; 3], off: [i64; 3]) 
         }
         return;
     }
-    let [so, sa, sb] = l.strides;
     for _ in 0..n {
         let x = *pa.offset(oa as isize);
         let y = *pb.offset(ob as isize);

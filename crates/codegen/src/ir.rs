@@ -16,10 +16,11 @@
 //!   machine in the interpreter's recursive-descent order. `Select`
 //!   becomes a conditional jump so only the taken arm touches memory.
 //!
-//! A multiply-accumulate nest whose offsets are affine in its loops is
-//! one [`Walk`] node in place of those loops and their statement: its
-//! levels' extents and offset strides, the covered loops' prologues, and
-//! each buffer's displacement box for the bounds check.
+//! A single-statement nest whose offsets are affine in its loops is one
+//! [`Walk`] node in place of those loops: its levels' extents and offset
+//! steps, the covered loops' prologues, the statement, and for a
+//! multiply-accumulate each buffer's displacement box for the bounds
+//! check.
 
 use alt_loopir::StoreMode;
 use alt_tensor::op::{ScalarBinOp, UnaryOp};
@@ -60,61 +61,53 @@ pub struct CStmt {
     pub fops: Vec<FOp>,
 }
 
-/// Per-lane offset adjustments for an order-preserving vector chunk.
+/// A single statement run as one strided walk instead of the loops
+/// around it.
 ///
-/// When the innermost `@vec` loop has a single-statement body whose
-/// physical offsets are affine in the loop variable and whose predicates
-/// do not depend on it, the executor runs the integer prologue once per
-/// SIMD-width chunk (at lane 0) and derives the remaining lanes by
-/// stepping each offset register by its stride. Lanes are still evaluated
-/// in lane order, so accumulation order — and hence every bit of a
-/// floating-point reduction — matches the scalar interpreter.
-#[derive(Clone, Debug)]
-pub struct VecBody {
-    /// Stride of the store offset in the vectorized variable.
-    pub store_stride: i64,
-    /// Stride per [`FOp`] position (non-`Load` positions hold 0).
-    pub load_strides: Vec<i64>,
-}
-
-/// A multiply-accumulate nest `out += a · b`, run as one strided walk
-/// instead of loops around the stack program.
+/// A walk starts at any loop that is not `@par` and holds the statement
+/// alone, and covers every enclosing loop that is not `@par`, holds the
+/// nest as its only body node, enters every offset of the statement
+/// affinely and enters none of its conditions. The executor runs the
+/// covered loops' prologues once per entry, with their variables at 0,
+/// for the base offsets, then steps the offsets by the levels' strides in
+/// the loop tree's order, so every point runs the statement as the loops
+/// would have.
 ///
-/// A walk starts at a `@vec` loop and covers every enclosing loop that is
-/// not `@par`, holds the nest as its only body node, enters the three
-/// offsets affinely and enters no condition of the statement. The
-/// executor runs the covered loops' prologues once per entry, with their
-/// variables at 0, for the base offsets, then steps the offsets by the
-/// levels' strides in the loop tree's order. Each point does the stack
-/// program's loads, multiply, load of the old value, add and store in its
-/// order, so the result is bit-identical.
-///
-/// The covered loops' variable slots are never written: they keep the 0
-/// of the initial slot file, which is where the prologues run.
+/// The covered loops' variable slots keep the 0 of the initial slot file
+/// at every entry, which is where the prologues run.
 #[derive(Clone, Debug)]
 pub struct Walk {
     /// The covered loops' prologues, outermost first.
     pub prologue: Vec<SlotOp>,
-    /// The covered loops, outermost first; the last is the `@vec` loop.
+    /// The covered loops, outermost first.
     pub levels: Vec<WalkLevel>,
-    /// The store, then the multiply's left and right loads.
-    pub access: [WalkAccess; 3],
-    /// The store predicate; it depends on no covered variable, so a false
-    /// one skips the whole walk.
-    pub pred: Option<u32>,
-    /// Whether the innermost level runs as independent slice adds: the
-    /// store steps by 1, the loads by 0 or 1, and the output buffer is
-    /// neither input, so no lane reads what another lane writes.
-    pub slices: bool,
+    /// The statement run at every point. Its predicate and `Select`
+    /// conditions depend on no covered variable: a false predicate zeros
+    /// every point of an `Assign` walk and skips an accumulating one.
+    pub stmt: CStmt,
+    /// The statement's offsets: the store, then each load in stack-program
+    /// order.
+    pub access: Vec<WalkAccess>,
+    /// `Some` when the statement is `out += a · b`: its points run over
+    /// three `f32` pointers, and the flag says whether the innermost level
+    /// runs as independent slice adds (the store steps by 1, the loads by 0
+    /// or 1, and the output buffer is neither input, so no lane reads what
+    /// another lane writes).
+    pub mac: Option<bool>,
 }
 
 /// One covered loop of a [`Walk`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct WalkLevel {
     /// Trip count.
     pub extent: i64,
-    /// Offset step per iteration of the store and the two loads.
-    pub strides: [i64; 3],
+    /// Outside a multiply-accumulate, the offset registers that move with
+    /// the level, each once, and their steps per iteration.
+    pub steps: Vec<(u32, i64)>,
+    /// A multiply-accumulate's steps of the store and the two loads per
+    /// iteration, inline, where its executor reads them at every entry of
+    /// the level (zeros for other statements).
+    pub mac: [i64; 3],
 }
 
 /// One buffer access of a [`Walk`].
@@ -148,17 +141,11 @@ pub struct CLoop {
     pub extent: i64,
     /// Whether lowering marked this loop `@par` (spatial partitioning).
     pub parallel: bool,
-    /// SIMD width used for chunking when `vec` is present.
-    pub lanes: u32,
     /// Integer ops to run at the top of every iteration: exactly the ops
     /// whose deepest variable dependency is this loop's variable.
     pub prologue: Vec<SlotOp>,
     /// Loop body in source order.
     pub body: Vec<CNode>,
-    /// Vector fast path; `Some` only when `body` is a single statement
-    /// that passed the affine/predicate-independence analysis (a
-    /// multiply-accumulate that passes it becomes a [`Walk`] instead).
-    pub vec: Option<VecBody>,
 }
 
 /// One lowered group (a fused operator) in compiled form.
@@ -193,10 +180,9 @@ pub struct KernelStats {
     pub iops: usize,
     /// Total float ops across all statement bodies.
     pub fops: usize,
-    /// Loops taking the order-preserving vector fast path; a walk counts
-    /// as one, its innermost level.
-    pub vec_loops: usize,
-    /// Multiply-accumulate nests that run as strided walks.
+    /// Statements that run as strided walks.
+    pub walks: usize,
+    /// Walks of a multiply-accumulate `out += a · b`.
     pub typed_loops: usize,
     /// Loops the walks cover, summed over the walks.
     pub walk_levels: usize,
@@ -212,17 +198,14 @@ impl NativeKernel {
                 match n {
                     CNode::Stmt(st) => s.fops += st.fops.len(),
                     CNode::Walk(w) => {
-                        // The prologue and the three float ops (two loads
-                        // and a multiply) of the statement it runs.
                         s.iops += w.prologue.len();
-                        s.fops += 3;
-                        s.vec_loops += 1;
-                        s.typed_loops += 1;
+                        s.fops += w.stmt.fops.len();
+                        s.walks += 1;
+                        s.typed_loops += usize::from(w.mac.is_some());
                         s.walk_levels += w.levels.len();
                     }
                     CNode::Loop(l) => {
                         s.iops += l.prologue.len();
-                        s.vec_loops += usize::from(l.vec.is_some());
                         if l.parallel {
                             s.par_loops += 1;
                         }

@@ -18,10 +18,13 @@
 //!    interpreter's recursive descent; `Select` compiles to branches so
 //!    only the taken arm is evaluated (untaken arms may index out of
 //!    bounds by design).
-//! 2. **Order-preserving vector chunking.** The innermost `@vec` loop is
-//!    chunked by the machine profile's SIMD width, but lanes inside a
-//!    chunk are evaluated and stored in lane order, so reductions
-//!    accumulate in exactly the interpreter's sequence.
+//! 2. **Walks visit points in the loop tree's order.** A single-statement
+//!    nest runs as a walk ([`ir::Walk`]) that steps the statement's
+//!    offsets instead of rerunning its loops' index ops, but it interchanges
+//!    no loop, so every slot sees the same loads, operations and stores in
+//!    the same order as under the interpreter, and reductions accumulate in
+//!    exactly its sequence. The machine profile plays no part: the same
+//!    program compiles to the same kernel on every profile.
 //! 3. **Disjoint parallel partitions.** `@par` loops run on scoped
 //!    threads over contiguous iteration ranges. Lowering only marks
 //!    spatial (output-partitioning) loops parallel, so threads write
@@ -48,24 +51,28 @@
 //!    condition the ranges decide compiles to the arm the interpreter
 //!    takes there. What folding changes is which offsets are affine in a
 //!    loop variable: a tiled layout's `(o·2 + i) / 16` becomes a stride,
-//!    so the vector fast path of property 2 and the walks of property 5
-//!    reach the tuned winners' reduction nests.
-//! 5. **A multiply-accumulate walk does the stack program's work in its
-//!    order.** A `@vec` loop whose statement is `out += a · b` grows
-//!    outward into a walk ([`ir::Walk`]) over every enclosing loop that is
-//!    not `@par`, holds the nest alone, enters the three offsets affinely
-//!    and enters no condition. The walk runs the covered loops' prologues
-//!    once per entry for the base offsets, checks each buffer's
-//!    displacement box once, and steps the offsets by the levels' strides
-//!    in the loop tree's order: no loop is interchanged, so every slot
-//!    sees the same adds in the same order. Each point loads `a`, loads
-//!    `b`, multiplies, loads the old value, adds and stores, and Rust
-//!    never contracts a multiply and an add into a fused multiply-add.
-//!    The innermost level runs as slice adds when its lanes write
-//!    distinct slots that no lane reads (store stride 1, load strides 0 or
-//!    1, the output buffer neither input), which rustc vectorizes;
-//!    otherwise it is a strided lane loop. The stack program stays the
-//!    fallback for every other statement shape.
+//!    so the walks of property 5 reach the tuned winners' nests.
+//! 5. **A walk does the stack program's work at every point.** A loop
+//!    that is not `@par` and holds one statement alone starts a walk when
+//!    every offset of the statement is affine in its variable and no
+//!    condition of the statement reads it; every enclosing loop that is
+//!    not `@par`, holds the walk alone and passes the same test joins it.
+//!    The walk runs the covered loops' prologues once per entry for the
+//!    base offsets and steps the offsets by the levels' strides. A
+//!    predicate false for a whole walk zeros every point of an `Assign`
+//!    walk and skips an accumulating one, as the interpreter's pad
+//!    semantics do. A multiply-accumulate `out += a · b` checks each
+//!    buffer's displacement box once per entry and runs over three `f32`
+//!    pointers: each point loads `a`, loads `b`, multiplies, loads the old
+//!    value, adds and stores, and Rust never contracts a multiply and an
+//!    add into a fused multiply-add. Its innermost level runs as slice
+//!    adds when its lanes write distinct slots that no lane reads (store
+//!    stride 1, load strides 0 or 1, the output buffer neither input),
+//!    which rustc vectorizes; otherwise it is a strided lane loop. Any
+//!    other statement steps its offset registers in place and runs its
+//!    stack program at each point, with reads and writes debug-checked as
+//!    outside a walk: a load in an untaken `Select` arm may lie out of
+//!    range, so no box is checked for it.
 
 pub mod compile;
 pub mod exec;

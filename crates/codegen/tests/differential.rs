@@ -10,11 +10,12 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use alt_codegen::compile;
-use alt_codegen::ir::{CLoop, CNode, NativeKernel, Walk};
+use alt_codegen::ir::{CLoop, CNode, FOp, NativeKernel, Walk};
 use alt_layout::{presets, Layout, LayoutPlan, LayoutPrim, PropagationMode};
 use alt_loopir::tir::TirNode;
 use alt_loopir::{
-    lower, run_program, AxisTiling, GraphSchedule, LoopKind, OpSchedule, Program, StoreMode,
+    lower, pack_buffers, run_program, AxisTiling, GraphSchedule, LoopKind, OpSchedule, Program,
+    StoreMode,
 };
 use alt_models::all_models;
 use alt_sim::{all_profiles, MachineProfile};
@@ -61,8 +62,9 @@ fn gmm_graph(m: i64, k: i64, n: i64) -> (Graph, TensorId, OpId, TensorId) {
     (g, a, op, y)
 }
 
-/// A schedule that turns on `@par` and `@vec` for every operator so the
-/// parallel and vector-chunk paths are exercised.
+/// A schedule that turns on `@par` and `@vec` for every operator, so
+/// that parallel loops and the tiled inner loops walks run over are
+/// exercised.
 fn par_vec_schedule(g: &Graph) -> GraphSchedule {
     let mut sched = GraphSchedule::naive();
     for k in 0..g.num_ops() {
@@ -220,8 +222,8 @@ fn swizzled_morton_and_blockdiag_layouts_are_bit_identical() {
 #[test]
 fn vec_fast_path_and_parallel_loops_are_present() {
     // Guard against the fast paths silently compiling away: the conv
-    // kernel above must actually contain vector-chunked and parallel
-    // loops, otherwise the differential tests stop covering them.
+    // kernel above must actually contain walks and parallel loops,
+    // otherwise the differential tests stop covering them.
     let mut g = Graph::new();
     let x = g.add_input("x", Shape::new([1, 4, 10, 10]));
     let w = g.add_param("w", Shape::new([8, 4, 3, 3]));
@@ -248,7 +250,7 @@ fn vec_fast_path_and_parallel_loops_are_present() {
     let program = lower(&g, &plan, &sched);
     let kernel = compile(&program, &alt_sim::intel_cpu());
     let stats = kernel.stats();
-    assert!(stats.vec_loops > 0, "no vector fast-path loops: {stats:?}");
+    assert!(stats.walks > 0, "no walks: {stats:?}");
     assert!(stats.par_loops > 0, "no parallel loops: {stats:?}");
     assert!(stats.iops > 0 && stats.fops > 0);
 }
@@ -259,14 +261,15 @@ struct Placed<'k> {
     around: Vec<&'k CLoop>,
 }
 
-/// The kernel's walks, and the loops whose body is one accumulating
-/// statement: the reduction loops no walk covers.
-fn walks_and_acc_loops(kernel: &NativeKernel) -> (Vec<Placed<'_>>, Vec<&CLoop>) {
+/// The kernel's walks, and the loops that are not `@par` and whose only
+/// body is one statement: the loops no walk covers although a walk could
+/// start there when the statement has strides in their variable.
+fn walks_and_stmt_loops(kernel: &NativeKernel) -> (Vec<Placed<'_>>, Vec<&CLoop>) {
     fn visit<'k>(
         nodes: &'k [CNode],
         around: &mut Vec<&'k CLoop>,
         walks: &mut Vec<Placed<'k>>,
-        acc: &mut Vec<&'k CLoop>,
+        stmt_loops: &mut Vec<&'k CLoop>,
     ) {
         for n in nodes {
             match n {
@@ -275,29 +278,35 @@ fn walks_and_acc_loops(kernel: &NativeKernel) -> (Vec<Placed<'_>>, Vec<&CLoop>) 
                     around: around.clone(),
                 }),
                 CNode::Loop(l) => {
-                    if let [CNode::Stmt(s)] = &l.body[..] {
-                        if s.mode == StoreMode::AddAcc {
-                            acc.push(l);
-                        }
+                    if !l.parallel && matches!(&l.body[..], [CNode::Stmt(_)]) {
+                        stmt_loops.push(l);
                     }
                     around.push(l);
-                    visit(&l.body, around, walks, acc);
+                    visit(&l.body, around, walks, stmt_loops);
                     around.pop();
                 }
                 CNode::Stmt(_) => {}
             }
         }
     }
-    let (mut walks, mut acc) = (Vec::new(), Vec::new());
+    let (mut walks, mut stmt_loops) = (Vec::new(), Vec::new());
     for g in &kernel.groups {
-        visit(&g.nodes, &mut Vec::new(), &mut walks, &mut acc);
+        visit(&g.nodes, &mut Vec::new(), &mut walks, &mut stmt_loops);
     }
-    (walks, acc)
+    (walks, stmt_loops)
+}
+
+/// The multiply-accumulate walks among `walks`.
+fn macs<'a, 'k>(walks: &'a [Placed<'k>]) -> Vec<&'a Placed<'k>> {
+    walks.iter().filter(|p| p.walk.mac.is_some()).collect()
 }
 
 /// Asserts bit-identity with the interpreter on every profile, and that
-/// every accumulation loop lies inside a walk. Returns the kernel
-/// compiled for the last profile (walks do not depend on the profile).
+/// no loop that is not `@par` and holds one statement alone lies outside
+/// a walk: in the kernels these tests build every statement is affine in
+/// its innermost loop and no condition reads that loop, so each such loop
+/// starts a walk. Returns the kernel compiled for the last profile (walks
+/// do not depend on the profile).
 fn assert_typed_and_bit_identical(
     program: &Program,
     g: &Graph,
@@ -309,16 +318,20 @@ fn assert_typed_and_bit_identical(
     for p in all_profiles() {
         assert_bit_identical(program, g, plan, bindings, &p, 4, what);
         let kernel = compile(program, &p);
-        let (walks, acc) = walks_and_acc_loops(&kernel);
-        assert!(!walks.is_empty(), "{what}: no walk");
+        let (walks, stmt_loops) = walks_and_stmt_loops(&kernel);
         assert!(
-            acc.is_empty(),
-            "{what} on {}: {} accumulation loops lie outside every walk ({:?})",
+            !macs(&walks).is_empty(),
+            "{what}: no multiply-accumulate walk"
+        );
+        assert!(
+            stmt_loops.is_empty(),
+            "{what} on {}: {} single-statement loops lie outside every walk ({:?})",
             p.name,
-            acc.len(),
+            stmt_loops.len(),
             kernel.stats()
         );
-        assert_eq!(kernel.stats().typed_loops, walks.len());
+        assert_eq!(kernel.stats().typed_loops, macs(&walks).len());
+        assert_eq!(kernel.stats().walks, walks.len());
         last = Some(kernel);
     }
     last.unwrap()
@@ -326,7 +339,7 @@ fn assert_typed_and_bit_identical(
 
 /// The number of levels of the deepest walk.
 fn deepest_walk(kernel: &NativeKernel) -> usize {
-    let (walks, _) = walks_and_acc_loops(kernel);
+    let (walks, _) = walks_and_stmt_loops(kernel);
     walks.iter().map(|p| p.walk.levels.len()).max().unwrap_or(0)
 }
 
@@ -445,13 +458,14 @@ fn batch_gmm_collapses_its_reduction_and_inner_spatial_loops() {
     assert_eq!(deepest_walk(&kernel), 4, "{:?}", kernel.stats());
 }
 
-/// Asserts that every walk of `kernel` stopped below a serial loop that
-/// holds it alone: the loop entered an offset non-affinely or entered a
-/// condition, as neither `@par` nor a sibling node stopped the walk.
+/// Asserts that every multiply-accumulate walk of `kernel` stopped below a
+/// serial loop that holds it alone: the loop entered an offset
+/// non-affinely or entered a condition, as neither `@par` nor a sibling
+/// node stopped the walk.
 fn assert_walks_stop_at_an_access(kernel: &NativeKernel, what: &str) {
-    let (walks, _) = walks_and_acc_loops(kernel);
-    assert!(!walks.is_empty(), "{what}: no walk");
-    for p in walks {
+    let (walks, _) = walks_and_stmt_loops(kernel);
+    assert!(!macs(&walks).is_empty(), "{what}: no walk");
+    for p in macs(&walks) {
         let parent = p.around.last().expect("a walk inside the tile loops");
         assert!(
             !parent.parallel && parent.body.len() == 1,
@@ -526,12 +540,14 @@ fn walks_stop_below_a_predicated_or_clamped_loop() {
 
 #[test]
 fn walks_cross_no_par_loop_and_no_loop_with_a_sibling() {
-    // The batch GMM's walk covers its whole accumulation nest and stops
-    // at `n.o`, which also holds the init nest.
+    // The batch GMM's multiply-accumulate walk covers its whole
+    // accumulation nest and stops at `n.o`, which also holds the init
+    // nest's walk.
     let (g, plan, mut program) = batch_gmm();
     let bindings = random_bindings(&g, 15);
     let kernel = compile(&program, &alt_sim::intel_cpu());
-    let (walks, _) = walks_and_acc_loops(&kernel);
+    let (walks, _) = walks_and_stmt_loops(&kernel);
+    let walks = macs(&walks);
     assert_eq!(walks.len(), 1);
     assert_eq!(walks[0].walk.levels.len(), 4);
     assert_eq!(walks[0].around.last().unwrap().body.len(), 2);
@@ -560,10 +576,192 @@ fn walks_cross_no_par_loop_and_no_loop_with_a_sibling() {
     assert!(mark_vec_parent_par(&mut program.groups[0].nodes));
     let kernel =
         assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "gmm with @par m.i");
-    let (walks, _) = walks_and_acc_loops(&kernel);
+    let (walks, _) = walks_and_stmt_loops(&kernel);
+    let walks = macs(&walks);
     assert_eq!(walks.len(), 1);
     assert_eq!(walks[0].walk.levels.len(), 1);
     assert!(walks[0].around.last().unwrap().parallel);
+}
+
+/// The walks of `kernel` whose statement satisfies `f`.
+fn walks_where<'k>(kernel: &'k NativeKernel, f: impl Fn(&Walk) -> bool) -> Vec<Placed<'k>> {
+    let (walks, _) = walks_and_stmt_loops(kernel);
+    walks.into_iter().filter(|p| f(p.walk)).collect()
+}
+
+#[test]
+fn t2d_select_walk_stops_at_the_loop_its_condition_reads() {
+    // A transposed conv accumulates `select(parity and range of h - rh and
+    // w - rw, x · w, 0)`. With the output channels innermost (NHWO) and
+    // split, `o.i` enters no condition and every offset affinely, so a walk
+    // starts there; the loop around it, `w.i`, is read by the condition,
+    // so the walk stops below it.
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new([1, 4, 5, 5]));
+    let w = g.add_param("w", Shape::new([4, 8, 3, 3]));
+    let y = ops::tconv2d(&mut g, x, w, 2);
+    let op = g.tensor(y).producer.unwrap();
+    let mut plan = LayoutPlan::new(PropagationMode::Full);
+    plan.assign_output_layout(&g, op, presets::nhwo(g.tensor(y).shape.clone()).unwrap());
+    let mut sched = GraphSchedule::naive();
+    sched.set(
+        op,
+        OpSchedule {
+            spatial: vec![
+                AxisTiling::none(),
+                AxisTiling::none(),
+                AxisTiling::one(11),
+                AxisTiling::one(4),
+            ],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    let bindings = random_bindings(&g, 16);
+    for p in all_profiles() {
+        assert_bit_identical(&program, &g, &plan, &bindings, &p, 4, "t2d");
+    }
+    let kernel = compile(&program, &alt_sim::intel_cpu());
+    let selects = walks_where(&kernel, |w| {
+        w.stmt.mode == StoreMode::AddAcc
+            && w.stmt
+                .fops
+                .iter()
+                .any(|f| matches!(f, FOp::JumpIfZero { .. }))
+    });
+    assert_eq!(selects.len(), 1, "{:?}", kernel.stats());
+    assert_eq!(selects[0].walk.levels.len(), 1);
+    assert!(selects[0].walk.mac.is_none());
+    let parent = selects[0].around.last().unwrap();
+    assert!(!parent.parallel && parent.body.len() == 1);
+}
+
+/// A tiled conv with a fused per-channel bias: `S0` (`@par`), then the
+/// init nest, the accumulation nest and the bias epilogue over `c.i h.i w`.
+fn conv_with_bias() -> (Graph, LayoutPlan, Program) {
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new([1, 4, 10, 10]));
+    let w = g.add_param("w", Shape::new([8, 4, 3, 3]));
+    let b = g.add_param("b", Shape::new([8]));
+    let y = ops::conv2d(&mut g, x, w, ConvCfg::default());
+    let z = ops::bias_add(&mut g, y, b, 1);
+    let conv = g.tensor(y).producer.unwrap();
+    let plan = LayoutPlan::new(PropagationMode::Full);
+    let mut sched = par_vec_schedule(&g);
+    sched.set(
+        g.tensor(z).producer.unwrap(),
+        OpSchedule {
+            fuse_into_producer: true,
+            ..OpSchedule::default()
+        },
+    );
+    sched.set(
+        conv,
+        OpSchedule {
+            spatial: vec![
+                AxisTiling::none(),
+                AxisTiling::one(4),
+                AxisTiling::one(2),
+                AxisTiling::one(4),
+            ],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    (g, plan, program)
+}
+
+#[test]
+fn init_nests_and_fused_epilogues_run_as_multi_level_walks() {
+    let (g, plan, program) = conv_with_bias();
+    assert_eq!(program.groups.len(), 1, "the bias is fused");
+    let bindings = random_bindings(&g, 17);
+    let kernel = assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "conv+bias");
+    let init = walks_where(&kernel, |w| matches!(w.stmt.fops[..], [FOp::Imm(_)]));
+    // The epilogue loads the conv's output and the bias, whose offset
+    // steps by 0 where the output's steps by 1.
+    let epilogue = walks_where(&kernel, |w| {
+        w.stmt.mode == StoreMode::Assign && w.access.len() == 3
+    });
+    for (what, walks) in [("init", init), ("epilogue", epilogue)] {
+        assert_eq!(walks.len(), 1, "{what}: {:?}", kernel.stats());
+        assert!(walks[0].walk.levels.len() >= 2, "{what}: one level");
+    }
+}
+
+#[test]
+fn padded_assign_walks_zero_the_entries_their_predicate_rejects() {
+    // `relu` into a layout padded by one row before and two after: the
+    // store predicate reads only the row loop, so the walk covers the two
+    // inner loops, and the three pad rows are entries it rejects.
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new([3, 4, 8]));
+    let y = ops::relu(&mut g, x);
+    let op = g.tensor(y).producer.unwrap();
+    let mut plan = LayoutPlan::new(PropagationMode::Full);
+    let padded = Layout::identity(g.tensor(y).shape.clone())
+        .with(LayoutPrim::Pad {
+            dim: 0,
+            before: 1,
+            after: 2,
+        })
+        .unwrap();
+    plan.assign_output_layout(&g, op, padded);
+    let program = lower(&g, &plan, &GraphSchedule::naive());
+    let bindings = random_bindings(&g, 18);
+    for p in all_profiles() {
+        assert_bit_identical(&program, &g, &plan, &bindings, &p, 4, "padded relu");
+    }
+    let kernel = compile(&program, &alt_sim::intel_cpu());
+    let walks = walks_where(&kernel, |w| w.stmt.pred.is_some());
+    assert_eq!(walks.len(), 1, "{:?}", kernel.stats());
+    assert_eq!(walks[0].walk.levels.len(), 2);
+    // Unpacking never reads pad slots, so check them in the physical
+    // buffer, filled beforehand with a value the program never writes.
+    let mut bufs = pack_buffers(&program, &g, &plan, &bindings);
+    let yb = program.buffer_for_tensor(y).unwrap().0;
+    bufs[yb] = NdBuf::from_fn(bufs[yb].shape().clone(), |_| 7.0);
+    kernel.execute(&mut bufs, 1);
+    let xs = &bindings[&x];
+    for r in 0..6 {
+        for c in 0..4 {
+            for k in 0..8 {
+                let want = if (1..4).contains(&r) {
+                    xs.get(&[r - 1, c, k]).max(0.0)
+                } else {
+                    0.0
+                };
+                assert_eq!(
+                    bufs[yb].get(&[r, c, k]).to_bits(),
+                    want.to_bits(),
+                    "[{r}, {c}, {k}]"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn max_pool_nests_run_as_walks() {
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new([1, 4, 9, 9]));
+    let _ = ops::max_pool2d(&mut g, x, 3, 2);
+    let plan = LayoutPlan::new(PropagationMode::Full);
+    let bindings = random_bindings(&g, 19);
+    for sched in [GraphSchedule::naive(), par_vec_schedule(&g)] {
+        let program = lower(&g, &plan, &sched);
+        for p in all_profiles() {
+            assert_bit_identical(&program, &g, &plan, &bindings, &p, 4, "max pool");
+        }
+        let kernel = compile(&program, &alt_sim::intel_cpu());
+        let pools = walks_where(&kernel, |w| w.stmt.mode == StoreMode::MaxAcc);
+        assert_eq!(pools.len(), 1, "{:?}", kernel.stats());
+        assert!(pools[0].walk.levels.len() >= 2);
+    }
 }
 
 /// Model graphs end to end (prefix-truncated so the interpreter side

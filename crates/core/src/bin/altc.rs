@@ -31,6 +31,7 @@
 //! altc store export tune.altstore
 //! ```
 
+use alt_autotune::{split_budget, NETWORK_JOINT_SHARE};
 use alt_core::{CompileOptions, Compiler, JsonlSink};
 use alt_models::{bert_base, bert_tiny, mobilenet_v2, resnet18, resnet3d_18};
 use alt_sim::{arm_cpu, intel_cpu, nvidia_gpu, MachineProfile};
@@ -245,7 +246,7 @@ SUBCOMMANDS:
 /// native kernel executor (`--native`), the reference interpreter, or
 /// both with a bit-exact differential check (`--check`). With `--native`
 /// also prints the kernel's [`KernelStats`](alt_codegen::KernelStats)
-/// (groups, integer and float ops, fast-path and typed loops) and the
+/// (groups, integer and float ops, walks and typed walks) and the
 /// per-op calibration table (native wall clock vs the analytic model's
 /// prediction).
 #[allow(clippy::too_many_lines)]
@@ -310,9 +311,9 @@ fn run_run(rest: &[String]) -> i32 {
                          Compiles the model (tuning when --budget > 0, unoptimized\n\
                          otherwise) and executes it on random bindings. --native runs\n\
                          the compiled register-based kernel (stride-resolved loops,\n\
-                         SIMD-width chunking, multiply-accumulate nests run as strided\n\
-                         walks, scoped-thread @par), prints the kernel's shape (with\n\
-                         the walks and the loop levels they cover) and per-op\n\
+                         single-statement nests run as strided walks, scoped-thread\n\
+                         @par), prints the kernel's shape (with the walks and the loop\n\
+                         levels they cover) and per-op\n\
                          calibration against the analytic cost model; the default runs\n\
                          the reference interpreter. --check runs both and fails unless\n\
                          outputs are bit-identical; --check-cap truncates the program\n\
@@ -346,10 +347,10 @@ fn run_run(rest: &[String]) -> i32 {
         }
     };
 
-    let joint = (budget as f64 * 0.4) as u64;
+    let (joint_budget, loop_budget) = split_budget(budget, NETWORK_JOINT_SHARE);
     let compiler = Compiler::new(machine).with_options(CompileOptions {
-        joint_budget: joint,
-        loop_budget: budget - joint,
+        joint_budget,
+        loop_budget,
         seed,
         ..CompileOptions::default()
     });
@@ -442,7 +443,7 @@ fn run_run(rest: &[String]) -> i32 {
                     "groups": k.groups,
                     "iops": k.iops,
                     "fops": k.fops,
-                    "vec_loops": k.vec_loops,
+                    "walks": k.walks,
                     "typed_loops": k.typed_loops,
                     "walk_levels": k.walk_levels,
                     "par_loops": k.par_loops,
@@ -478,9 +479,9 @@ fn run_run(rest: &[String]) -> i32 {
         }
         if let Some((_, stats, table, k)) = &native_res {
             println!(
-                "kernel: {} groups, {} integer ops, {} float ops, {} fast-path loops \
-                 ({} typed multiply-accumulate walks over {} walk_levels), {} parallel loops",
-                k.groups, k.iops, k.fops, k.vec_loops, k.typed_loops, k.walk_levels, k.par_loops
+                "kernel: {} groups, {} integer ops, {} float ops, {} walks \
+                 ({} typed multiply-accumulate) over {} walk_levels, {} parallel loops",
+                k.groups, k.iops, k.fops, k.walks, k.typed_loops, k.walk_levels, k.par_loops
             );
             println!(
                 "native: {:.1} us ({} threads); pack {:.1} us, unpack {:.1} us",
@@ -589,11 +590,11 @@ fn run_profile(rest: &[String]) -> i32 {
     // Capture the tuning-run records in memory so the Perfetto export can
     // interleave the tuning timeline with the simulated execution.
     let sink = std::sync::Arc::new(alt_core::MemorySink::new());
-    let joint = (budget as f64 * 0.4) as u64;
+    let (joint_budget, loop_budget) = split_budget(budget, NETWORK_JOINT_SHARE);
     let compiler = Compiler::new(machine)
         .with_options(CompileOptions {
-            joint_budget: joint,
-            loop_budget: budget - joint,
+            joint_budget,
+            loop_budget,
             seed,
             ..CompileOptions::default()
         })
@@ -903,9 +904,10 @@ fn run_verify(rest: &[String]) -> i32 {
                 return 2;
             }
         };
+        let (joint_budget, loop_budget) = split_budget(budget, NETWORK_JOINT_SHARE);
         let compiler = Compiler::new(machine).with_options(CompileOptions {
-            joint_budget: (budget as f64 * 0.4) as u64,
-            loop_budget: budget - (budget as f64 * 0.4) as u64,
+            joint_budget,
+            loop_budget,
             seed,
             advanced_layouts,
             ..CompileOptions::default()
@@ -1258,7 +1260,7 @@ fn main() {
         }
     };
 
-    let joint = (args.budget as f64 * 0.4) as u64;
+    let (joint_budget, loop_budget) = split_budget(args.budget, NETWORK_JOINT_SHARE);
     // A checkpoint path without an explicit interval still wants periodic
     // writes, not just halt-time ones.
     let checkpoint_every = match (args.checkpoint_every, &args.checkpoint) {
@@ -1272,8 +1274,8 @@ fn main() {
         }
     }
     let compiler = Compiler::new(profile).with_options(CompileOptions {
-        joint_budget: joint,
-        loop_budget: args.budget - joint,
+        joint_budget,
+        loop_budget,
         seed: args.seed,
         fault_rate: args.faults,
         checkpoint: args.checkpoint.clone(),

@@ -430,13 +430,6 @@ impl CompiledGraph {
         run_program(&self.program, &self.graph, &self.plan, bindings)
     }
 
-    /// Compiles the program into the native register-based kernel for
-    /// the target machine profile. Cheap (one walk over the loop tree);
-    /// callers that execute repeatedly should reuse the kernel.
-    pub fn native_kernel(&self) -> alt_codegen::NativeKernel {
-        alt_codegen::compile(&self.program, &self.profile)
-    }
-
     /// Executes the compiled program through the native executor.
     /// Bit-identical to [`CompiledGraph::run`] by the `alt-codegen`
     /// contract, but orders of magnitude faster — the interpreter is the
@@ -449,18 +442,20 @@ impl CompiledGraph {
         self.run_native_timed(bindings, &Timing::disabled()).0
     }
 
-    /// [`CompiledGraph::run_native`] with wall-clock accounting: returns
-    /// per-group and end-to-end native times plus the layout conversion
-    /// times, and — when `timing` is enabled — records a `native_exec`
-    /// phase plus `native.group_us`, `native.run_us`, `native.pack_us`
-    /// and `native.unpack_us` wall histograms on the pipeline timing layer
-    /// (its own stream; never the deterministic trace).
+    /// [`CompiledGraph::run_native`] with wall-clock accounting: compiles
+    /// the native kernel (one pass over the loop tree) and runs it,
+    /// returning per-group and end-to-end native times plus the layout
+    /// conversion times, and — when `timing` is enabled — records a
+    /// `native_exec` phase plus `native.group_us`, `native.run_us`,
+    /// `native.pack_us` and `native.unpack_us` wall histograms on the
+    /// pipeline timing layer (its own stream; never the deterministic
+    /// trace).
     pub fn run_native_timed(
         &self,
         bindings: &HashMap<TensorId, NdBuf>,
         timing: &Timing,
     ) -> (HashMap<TensorId, NdBuf>, alt_codegen::NativeRunStats) {
-        let kernel = self.native_kernel();
+        let kernel = alt_codegen::compile(&self.program, &self.profile);
         let _phase = timing.phase("native_exec");
         let (out, stats) = kernel.run(
             &self.program,
@@ -476,25 +471,6 @@ impl CompiledGraph {
         timing.observe_us("native.pack_us", stats.pack_us as u64);
         timing.observe_us("native.unpack_us", stats.unpack_us as u64);
         (out, stats)
-    }
-
-    /// Per-op calibration of the analytic cost model against a native
-    /// run: simulator-predicted vs measured microseconds per lowered
-    /// group on the target profile.
-    pub fn native_calibration(
-        &self,
-        stats: &alt_codegen::NativeRunStats,
-    ) -> alt_sim::CalibrationTable {
-        alt_sim::calibrate(&self.profile_breakdown(self.profile), &stats.group_us)
-    }
-
-    /// Embeds a calibration table into the run's timing manifest under
-    /// `native_calibration`. No-op when the graph was compiled without
-    /// [`CompileOptions::timing`] (there is no manifest to extend).
-    pub fn attach_native_calibration(&mut self, table: &alt_sim::CalibrationTable) {
-        if let Some(serde_json::Value::Object(m)) = self.timing_manifest.as_mut() {
-            m.insert("native_calibration".into(), table.to_json());
-        }
     }
 
     /// The machine profile this graph was compiled (and tuned) for.
