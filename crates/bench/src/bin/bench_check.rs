@@ -9,9 +9,13 @@
 //!
 //! Trajectories whose entries hold per-workload results (perfbench's
 //! `BENCH_perfbench.json`) have no baseline file: each one's newest
-//! entry is compared with its previous entry instead, metric by metric
-//! for every end-to-end metric `BENCHMARK.json` declares (read from the
-//! candidate directory's parent, never written). A move worse than that
+//! entry is checked metric by metric for every end-to-end metric
+//! `BENCHMARK.json` declares (read from the candidate directory's
+//! parent, never written). Each metric is compared with the newest
+//! entry's own `parent_metrics` for its workload, the parent commit
+//! measured in the same session, where the entry records it, and with
+//! the previous entry otherwise: two sessions on a shared host can differ
+//! by more than a bound while the code does not. A move worse than the
 //! metric's bound is flagged and fails the gate like a regression, and so
 //! is a bounded metric, a traced per-layer key (an entry's `traced`
 //! object) or a whole workload that the previous entry recorded and the
@@ -71,10 +75,12 @@ fn parse_args() -> Result<Args, String> {
                      or when the candidate drops a gated metric the baseline\n\
                      records without naming it in its entry's `retired` list.\n\
                      Per-workload trajectories (BENCH_perfbench.json) compare their\n\
-                     newest entry with the previous one instead and fail on a move\n\
+                     newest entry with its same-session `parent_metrics` where it\n\
+                     records them, else with the previous entry, and fail on a move\n\
                      worse than the metric's bound in BENCHMARK.json, or on a\n\
                      metric, traced per-layer key or workload the newest entry\n\
-                     drops without naming it in its `retired` list.\n\
+                     drops (against the previous entry) without naming it in its\n\
+                     `retired` list.\n\
                      --report-only prints the comparison but always exits 0."
                 );
                 std::process::exit(0);
@@ -197,25 +203,39 @@ fn bounds(spec: &Value) -> Vec<Bound> {
         .unwrap_or_default()
 }
 
-/// One metric's move between a workload trajectory's previous and
-/// newest entries.
+/// Where a move's baseline value comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Baseline {
+    /// The newest entry's `parent_metrics`: its parent commit, measured
+    /// in the same session.
+    Parent,
+    /// The previous entry, measured in another session.
+    Previous,
+}
+
+/// One metric of a workload trajectory's newest entry against its
+/// baseline.
 struct Move {
     workload: String,
     metric: String,
-    previous: f64,
+    baseline: f64,
+    against: Baseline,
     /// `None` when the newest entry dropped the metric or its workload.
     newest: Option<f64>,
     /// Worse than the metric's bound, or dropped without being retired.
     flagged: bool,
 }
 
-/// The newest entry of a per-workload trajectory against the previous
-/// one, for every bounded metric the previous entry records, plus every
-/// traced per-layer key it records that the newest entry lacks. A metric
-/// or key the newest entry lacks (on its own or with its whole workload)
-/// is a flagged move unless the newest entry's `retired` list names it or
-/// the workload. `None` when the document is not a
-/// per-workload trajectory or has fewer than two entries.
+/// The newest entry of a per-workload trajectory, for every bounded
+/// metric it or the previous entry records: a kept metric against the
+/// newest entry's same-session `parent_metrics` for its workload where
+/// they hold it, else against the previous entry. Every traced per-layer
+/// key the previous entry records and the newest lacks is a move too. A
+/// metric or key the newest entry lacks (on its own or with its whole
+/// workload) is a flagged move against the previous entry unless the
+/// newest entry's `retired` list names it or the workload. `None` when
+/// the document is not a per-workload trajectory or has fewer than two
+/// entries.
 fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
     let entries = doc.get("entries")?.as_array()?;
     let [.., previous, newest] = entries.as_slice() else {
@@ -232,32 +252,42 @@ fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
         .unwrap_or_default();
     let dropped =
         |workload: &str, name: &str| !retired.contains(&name) && !retired.contains(&workload);
-    let metric = |w: &Value, name: &str| w.get("metrics")?.get(name)?.as_f64();
+    let value = |w: Option<&Value>, key: &str, name: &str| w?.get(key)?.get(name)?.as_f64();
     fn traced(w: &Value) -> Option<&serde_json::Map> {
         w.get("traced")?.as_object()
     }
     let mut moves = Vec::new();
-    for (workload, p) in prev {
+    let added = new.keys().filter(|w| !prev.contains_key(w));
+    for workload in prev.keys().chain(added) {
+        let (p, n) = (prev.get(workload), new.get(workload));
         for b in bounds {
-            let Some(previous) = metric(p, &b.name) else {
-                continue;
+            let newest = value(n, "metrics", &b.name);
+            let (baseline, against) = match (
+                newest,
+                value(n, "parent_metrics", &b.name),
+                value(p, "metrics", &b.name),
+            ) {
+                (Some(_), Some(parent), _) => (parent, Baseline::Parent),
+                (_, _, Some(previous)) => (previous, Baseline::Previous),
+                _ => continue,
             };
-            let newest = new.get(workload).and_then(|w| metric(w, &b.name));
             let flagged = match newest {
-                Some(v) if b.lower_is_better => v / previous > 1.0 + b.bound,
-                Some(v) => v / previous < 1.0 - b.bound,
+                Some(v) if b.lower_is_better => v / baseline > 1.0 + b.bound,
+                Some(v) => v / baseline < 1.0 - b.bound,
                 None => dropped(workload, &b.name),
             };
             moves.push(Move {
                 workload: workload.clone(),
                 metric: b.name.clone(),
-                previous,
+                baseline,
+                against,
                 newest,
                 flagged,
             });
         }
         // Traced per-layer keys have no bound; only dropping one moves.
-        let kept = new.get(workload).and_then(traced);
+        let Some(p) = p else { continue };
+        let kept = n.and_then(traced);
         for (key, previous) in traced(p).into_iter().flatten() {
             let Some(previous) = previous.as_f64() else {
                 continue;
@@ -268,7 +298,8 @@ fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
             moves.push(Move {
                 workload: workload.clone(),
                 metric: key.clone(),
-                previous,
+                baseline: previous,
+                against: Baseline::Previous,
                 newest: None,
                 flagged: dropped(workload, key),
             });
@@ -277,8 +308,8 @@ fn trajectory_moves(doc: &Value, bounds: &[Bound]) -> Option<Vec<Move>> {
     Some(moves)
 }
 
-/// Prints a per-workload trajectory's newest-vs-previous moves; returns
-/// whether any was flagged.
+/// Prints a per-workload trajectory's moves, each with the baseline it
+/// used; returns whether any was flagged.
 fn report_trajectory(name: &str, doc: &Value, bounds: &[Bound]) -> bool {
     let Some(moves) = trajectory_moves(doc, bounds) else {
         println!("{name}: fewer than two per-workload entries; nothing to compare");
@@ -293,18 +324,23 @@ fn report_trajectory(name: &str, doc: &Value, bounds: &[Bound]) -> bool {
             .to_string()
     };
     println!(
-        "{name}: newest entry ({}) vs previous ({}), bounds from BENCHMARK.json:",
+        "{name}: newest entry ({}) vs its same-session parent, or vs the previous \
+         entry ({}) where it records none; bounds from BENCHMARK.json:",
         label(0),
         label(1)
     );
     for m in &moves {
-        let (workload, metric, previous) = (&m.workload, &m.metric, m.previous);
+        let (workload, metric, baseline) = (&m.workload, &m.metric, m.baseline);
+        let against = match m.against {
+            Baseline::Parent => "parent",
+            Baseline::Previous => "previous",
+        };
         match m.newest {
             Some(newest) => {
-                let ratio = newest / previous;
+                let ratio = newest / baseline;
                 let verdict = if m.flagged { "  WORSE THAN BOUND" } else { "" };
                 println!(
-                    "    {workload:<10} {metric:<16} {previous:.4} -> {newest:.4}  (x{ratio:.3}){verdict}"
+                    "    {workload:<10} {metric:<16} {against:<8} {baseline:.4} -> {newest:.4}  (x{ratio:.3}){verdict}"
                 );
             }
             None => {
@@ -313,7 +349,9 @@ fn report_trajectory(name: &str, doc: &Value, bounds: &[Bound]) -> bool {
                 } else {
                     "retired"
                 };
-                println!("    {workload:<10} {metric:<16} {previous:.4} -> none  ({verdict})");
+                println!(
+                    "    {workload:<10} {metric:<16} {against:<8} {baseline:.4} -> none  ({verdict})"
+                );
             }
         }
     }
@@ -523,7 +561,7 @@ mod tests {
         let moves = trajectory_moves(&doc, &bounds).expect("two entries or more");
         // `setup_s` is in neither entry, so two moves, against `b`.
         assert_eq!(moves.len(), 2);
-        assert_eq!((moves[0].previous, moves[0].newest), (18.0, Some(7.0)));
+        assert_eq!((moves[0].baseline, moves[0].newest), (18.0, Some(7.0)));
         assert!(!moves[0].flagged, "a faster compile is no regression");
         assert!(moves[1].flagged, "+16% RSS exceeds its 15% bound");
         let single = parse(&format!(r#"{{"entries": [{}]}}"#, entry("a", 1.0, 1.0)));
@@ -650,6 +688,56 @@ mod tests {
             "retired keys pass the gate"
         );
         assert_eq!(moves.iter().filter(|m| m.newest.is_none()).count(), 2);
+    }
+
+    #[test]
+    fn a_same_session_parent_within_bound_is_not_flagged_beside_a_far_previous_entry() {
+        // Another session read 100 ms; this one read its parent at 185 ms
+        // and the change at 190 ms. `compile_s` has no parent value and
+        // falls back to the previous entry.
+        let doc = parse(
+            r#"{"entries": [
+                {"workloads": {"tune-nets": {"metrics": {"compile_s": 5.0, "native_pass_ms": 100.0}}}},
+                {"workloads": {"tune-nets": {
+                    "metrics": {"compile_s": 5.5, "native_pass_ms": 190.0},
+                    "parent_metrics": {"native_pass_ms": 185.0}}}}
+            ]}"#,
+        );
+        let moves = trajectory_moves(&doc, &spec_bounds()).expect("two entries");
+        let seen: Vec<(&str, Baseline, f64, bool)> = moves
+            .iter()
+            .map(|m| (m.metric.as_str(), m.against, m.baseline, m.flagged))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                ("compile_s", Baseline::Previous, 5.0, false),
+                ("native_pass_ms", Baseline::Parent, 185.0, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_entry_without_parent_metrics_falls_back_to_the_previous_entry() {
+        let doc = parse(
+            r#"{"entries": [
+                {"workloads": {"tune-nets": {
+                    "metrics": {"native_pass_ms": 100.0},
+                    "parent_metrics": {"native_pass_ms": 40.0}}}},
+                {"workloads": {"tune-nets": {"metrics": {"native_pass_ms": 190.0}}}}
+            ]}"#,
+        );
+        let moves = trajectory_moves(&doc, &spec_bounds()).expect("two entries");
+        assert_eq!(moves.len(), 1);
+        let m = &moves[0];
+        assert_eq!(
+            (m.against, m.baseline, m.newest),
+            (Baseline::Previous, 100.0, Some(190.0))
+        );
+        assert!(
+            m.flagged,
+            "x1.9 against the previous entry exceeds the bound"
+        );
     }
 
     #[test]

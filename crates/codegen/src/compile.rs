@@ -20,7 +20,11 @@
 //! affinely and no condition) starts a [`Walk`], and every enclosing loop
 //! joins it while it is not `@par`, holds the walk alone and has strides.
 //! A joining loop's prologue becomes part of the walk's, and its extent
-//! and strides the walk's new outer level.
+//! and strides the walk's new outer level. Once a group's walks are
+//! final, each multiply-accumulate walk whose levels pass the tiling rule
+//! gets a register [`Tile`]: its reduction levels run innermost in their
+//! relative order, which its extents and strides show keeps every slot's
+//! sequence of adds.
 //!
 //! The simplified expressions are compiled by [`SlotCompiler`], the
 //! loop-nest index compiler the layout walks share: structurally equal
@@ -42,7 +46,9 @@ use alt_tensor::expr::Expr;
 use alt_tensor::op::{Cond, ScalarBinOp};
 use alt_tensor::range::{Folded, LoopRanges, SlotCompiler, SlotOp};
 
-use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, Walk, WalkAccess, WalkLevel};
+use crate::ir::{
+    CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, Tile, Walk, WalkAccess, WalkLevel,
+};
 
 /// Symbolic side table of one compiled statement, kept only during
 /// compilation to decide which loops its walk covers.
@@ -286,6 +292,7 @@ impl Walk {
                 .chain(loads)
                 .collect(),
             mac: is_mac(&stmt).then_some(false),
+            tile: None,
             stmt,
         }
     }
@@ -329,6 +336,78 @@ impl Walk {
     }
 }
 
+/// Plans the register tile of every walk in `nodes`. A walk grows while
+/// an enclosing loop joins it, so tiles are planned once a group's walks
+/// are final.
+fn plan_tiles(nodes: &mut [CNode]) {
+    for n in nodes {
+        match n {
+            CNode::Walk(w) => w.tile = tile(w).map(Box::new),
+            CNode::Loop(l) => plan_tiles(&mut l.body),
+            CNode::Stmt(_) => {}
+        }
+    }
+}
+
+/// The register tile of a multiply-accumulate walk whose levels pass the
+/// tiling rule ([`Tile`]): the output buffer is neither load's, the store
+/// is injective over the spatial levels, some level reduces, and a
+/// spatial level steps `[1, 0, 1]` or `[1, 1, 0]`. That level is the
+/// column and the row is a spatial level that leaves the column's
+/// vector operand still; each is the candidate of largest extent, the
+/// innermost on ties.
+fn tile(w: &Walk) -> Option<Tile> {
+    let (Some(_), [o, a, b]) = (w.mac, &w.access[..]) else {
+        return None;
+    };
+    if o.buf == a.buf || o.buf == b.buf {
+        return None;
+    }
+    let (spatial, reduce): (Vec<&WalkLevel>, Vec<&WalkLevel>) =
+        w.levels.iter().partition(|l| l.mac[0] != 0);
+    if reduce.is_empty() || !injective(&spatial) {
+        return None;
+    }
+    let widest = |fits: &dyn Fn(usize, &WalkLevel) -> bool| {
+        (0..spatial.len())
+            .filter(|&k| fits(k, spatial[k]))
+            .max_by_key(|&k| (spatial[k].extent, k))
+    };
+    let col = widest(&|_, l| matches!(l.mac, [1, 0, 1] | [1, 1, 0]))?;
+    let a_vector = spatial[col].mac[1] == 1;
+    let vector = if a_vector { 1 } else { 2 };
+    let row = widest(&|k, l| k != col && l.mac[vector] == 0);
+    let outer = spatial
+        .iter()
+        .enumerate()
+        .filter(|&(k, _)| k != col && Some(k) != row)
+        .map(|(_, l)| (*l).clone())
+        .collect();
+    Some(Tile {
+        outer,
+        row: row.map(|k| spatial[k].clone()),
+        col: spatial[col].clone(),
+        a_vector,
+        reduce: reduce.into_iter().cloned().collect(),
+    })
+}
+
+/// Whether distinct points of the `spatial` levels store to distinct
+/// slots: sorted by |store step|, each step exceeds the span
+/// `Σ (extent − 1)·|step|` of the smaller ones, so the largest level on
+/// which two points differ moves the store further than all smaller
+/// levels together can move it back.
+fn injective(spatial: &[&WalkLevel]) -> bool {
+    let mut levels: Vec<(i64, i64)> = spatial.iter().map(|l| (l.mac[0].abs(), l.extent)).collect();
+    levels.sort_unstable();
+    let mut span = 0;
+    levels.into_iter().all(|(step, extent)| {
+        let clear = step > span;
+        span += (extent - 1) * step;
+        clear
+    })
+}
+
 /// Compiles a lowered program into a [`NativeKernel`]. The machine
 /// profile does not affect the kernel: a program compiles to the same
 /// kernel for every profile. The parameter stays for callers that compile
@@ -340,7 +419,8 @@ pub fn compile(program: &Program, _profile: &MachineProfile) -> NativeKernel {
     };
     let mut groups = Vec::with_capacity(program.groups.len());
     for g in &program.groups {
-        let (nodes, _) = c.compile_nodes(&g.nodes);
+        let (mut nodes, _) = c.compile_nodes(&g.nodes);
+        plan_tiles(&mut nodes);
         groups.push(CGroup {
             label: g.label.clone(),
             prologue: c.slots.take_root(),
@@ -350,5 +430,101 @@ pub fn compile(program: &Program, _profile: &MachineProfile) -> NativeKernel {
     NativeKernel {
         groups,
         slots: c.slots.init(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The walk of `out += a · b` over the buffers `bufs` (store, `a`,
+    /// `b`) with `levels` (extent, store/`a`/`b` steps), outermost first.
+    fn mac_walk(bufs: [u32; 3], levels: &[(i64, [i64; 3])]) -> Walk {
+        let [o, a, b] = bufs;
+        let mut w = Walk::of(CStmt {
+            buf: o,
+            off: 0,
+            pred: None,
+            mode: StoreMode::AddAcc,
+            fops: vec![
+                FOp::Load { buf: a, off: 1 },
+                FOp::Load { buf: b, off: 2 },
+                FOp::Bin(ScalarBinOp::Mul),
+            ],
+        });
+        for &(extent, steps) in levels.iter().rev() {
+            w.enclose(Vec::new(), extent, steps.to_vec());
+        }
+        w
+    }
+
+    /// `k.o m.i k.i n.i` of a 5×8 by 8×16 product, row-major.
+    const GMM: [(i64, [i64; 3]); 4] = [
+        (2, [0, 4, 64]),
+        (5, [16, 8, 0]),
+        (4, [0, 1, 16]),
+        (16, [1, 0, 1]),
+    ];
+
+    #[test]
+    fn a_gmm_walk_tiles_with_its_reductions_innermost_in_order() {
+        let t = tile(&mac_walk([0, 1, 2], &GMM)).expect("a tile");
+        let steps = |ls: &[WalkLevel]| ls.iter().map(|l| l.mac).collect::<Vec<_>>();
+        assert_eq!(steps(&t.reduce), [[0, 4, 64], [0, 1, 16]]);
+        assert_eq!(t.row.map(|l| l.mac), Some([16, 8, 0]));
+        assert_eq!((t.col.mac, t.a_vector), ([1, 0, 1], false));
+        assert!(t.outer.is_empty());
+    }
+
+    #[test]
+    fn no_tile_when_the_output_aliases_a_load() {
+        assert!(tile(&mac_walk([0, 0, 2], &GMM)).is_none());
+        assert!(tile(&mac_walk([2, 1, 2], &GMM)).is_none());
+    }
+
+    #[test]
+    fn no_tile_when_spatial_store_steps_overlap() {
+        // Extents 4 and 2 with store steps 1 and 2: `i + 2·j` repeats, so
+        // a slot would take adds from two spatial points.
+        let overlapping = [(3, [0, 1, 8]), (2, [2, 3, 0]), (4, [1, 0, 1])];
+        assert!(tile(&mac_walk([0, 1, 2], &overlapping)).is_none());
+        let disjoint = [(3, [0, 1, 8]), (2, [4, 3, 0]), (4, [1, 0, 1])];
+        assert!(tile(&mac_walk([0, 1, 2], &disjoint)).is_some());
+        // An overlapping level that is neither row nor column counts too.
+        let outer = [(2, [2, 0, 5]), (3, [0, 1, 8]), (4, [1, 0, 1])];
+        assert!(tile(&mac_walk([0, 1, 2], &outer)).is_none());
+    }
+
+    #[test]
+    fn no_tile_without_a_reduction_level() {
+        let spatial = [(5, [16, 8, 0]), (16, [1, 0, 1])];
+        assert!(tile(&mac_walk([0, 1, 2], &spatial)).is_none());
+    }
+
+    #[test]
+    fn no_tile_without_a_vector_column() {
+        for col in [[1, 1, 1], [2, 0, 1], [1, 0, 2]] {
+            let levels = [(4, [0, 1, 8]), (8, col)];
+            assert!(tile(&mac_walk([0, 1, 2], &levels)).is_none(), "{col:?}");
+        }
+    }
+
+    #[test]
+    fn a_swapped_column_keeps_a_as_the_vector_and_its_row_leaves_a_still() {
+        // Along the column the output and `a` step by 1; a level that moves
+        // `a` cannot be the row, so the one that leaves it still is.
+        let levels = [
+            (3, [0, 20, 1]),
+            (4, [8, 1, 3]),
+            (6, [32, 0, 3]),
+            (8, [1, 1, 0]),
+        ];
+        let t = tile(&mac_walk([0, 1, 2], &levels)).expect("a tile");
+        assert!(t.a_vector);
+        assert_eq!(t.row.map(|l| l.mac), Some([32, 0, 3]));
+        assert_eq!(
+            t.outer.iter().map(|l| l.mac).collect::<Vec<_>>(),
+            [[8, 1, 3]]
+        );
     }
 }

@@ -9,13 +9,18 @@
 //! * **Scalar**: bind the loop register, run the prologue, run the body.
 //! * **Walk** (a single-statement nest, [`Walk`]): run the covered loops'
 //!   prologues once, then step the statement's offsets by the levels'
-//!   strides in the loop tree's order. A multiply-accumulate checks each
-//!   buffer's displacement box once and steps three `f32` offsets, each
-//!   point doing the stack program's loads, multiply, add and store in its
-//!   order; its innermost level runs as slice adds when its lanes are
-//!   independent, else as a strided lane loop. Any other statement steps
-//!   its offset registers in place and runs its stack program at each
-//!   point.
+//!   strides. A multiply-accumulate checks each buffer's displacement box
+//!   once and steps three `f32` offsets, each point doing the stack
+//!   program's loads, multiply and add. With a [`Tile`] it runs the
+//!   spatial levels outside and, per block of `MR ∈ {4, 1}` rows by
+//!   `NR ∈ {8, 4, 2, 1}` columns, a const-generic micro-kernel that loads
+//!   the block's outputs once into `[[f32; NR]; MR]`, runs the reduction
+//!   levels innermost in their loop-tree order and stores once; the
+//!   tiling rule keeps every slot's sequence of adds (see [`Tile`]).
+//!   Without one it visits the loop tree's order, its innermost level as
+//!   slice adds when its lanes are independent, else as a strided lane
+//!   loop. Any other statement steps its offset registers in place and
+//!   runs its stack program at each point, in the loop tree's order.
 //! * **Parallel** (`@par`): split the iteration space into contiguous
 //!   ranges on scoped threads. Lowering marks only spatial loops
 //!   parallel, so ranges write disjoint slots and per-slot accumulation
@@ -40,7 +45,9 @@ use alt_tensor::op::ScalarBinOp;
 use alt_tensor::range;
 use alt_tensor::{Graph, NdBuf, TensorId};
 
-use crate::ir::{CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, Walk, WalkAccess, WalkLevel};
+use crate::ir::{
+    CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, Tile, Walk, WalkAccess, WalkLevel,
+};
 
 /// Wall-clock accounting of one native run.
 #[derive(Clone, Debug)]
@@ -207,7 +214,8 @@ impl Runner<'_> {
 
     /// A walk: the covered loops' prologues run once, with their variables
     /// at 0 (see [`Walk`]), for the base offsets; the levels then step the
-    /// offsets by their strides in the loop tree's order. Kept out of line:
+    /// offsets by their strides, in the order of the walk's [`Tile`] if it
+    /// has one and in the loop tree's order otherwise. Kept out of line:
     /// inlined into `run_nodes`, it slowed the loops around short walks (a
     /// conv of 2-lane one-level walks ran about 10% slower than out of line
     /// on a 2-vCPU x86 host).
@@ -230,10 +238,12 @@ impl Runner<'_> {
         // offset the levels reach, against its buffer's length; parallel
         // workers write disjoint slots (see `Bufs`).
         unsafe {
-            match &w.levels[..] {
+            match (&w.tile, &w.levels[..]) {
+                (Some(t), _) if t.a_vector => tiles::<true>(t, &t.outer, ptr, off),
+                (Some(t), _) => tiles::<false>(t, &t.outer, ptr, off),
                 // A one-level walk skips the odometer's call.
-                [l] => lanes(l, slices, ptr, off),
-                levels => walk_levels(levels, slices, ptr, off),
+                (None, [l]) => lanes(l, slices, ptr, off),
+                (None, levels) => walk_levels(levels, slices, ptr, off),
             }
         }
     }
@@ -329,9 +339,7 @@ unsafe fn walk_levels(levels: &[WalkLevel], slices: bool, ptr: [*mut f32; 3], mu
         [l, inner @ ..] => {
             for _ in 0..l.extent {
                 walk_levels(inner, slices, ptr, off);
-                for (o, s) in off.iter_mut().zip(l.mac) {
-                    *o += s;
-                }
+                step(&mut off, l.mac, 1);
             }
         }
         [] => {}
@@ -378,6 +386,154 @@ unsafe fn lanes(l: &WalkLevel, slices: bool, ptr: [*mut f32; 3], off: [i64; 3]) 
         oa += sa;
         ob += sb;
     }
+}
+
+/// Adds `n` steps `steps` to the offsets `off` (store, left load, right
+/// load).
+#[inline(always)]
+fn step(off: &mut [i64; 3], steps: [i64; 3], n: i64) {
+    for (o, s) in off.iter_mut().zip(steps) {
+        *o += n * s;
+    }
+}
+
+/// Runs a tiled walk (see [`Tile`]) from offsets `off` (store, left load,
+/// right load) into the buffers at `ptr`: the `outer` levels as an
+/// odometer, then the row level in blocks of 4 rows and one row at a
+/// time for the rest. `AV` says whether `a` is the vector operand.
+///
+/// # Safety
+///
+/// As [`walk_levels`].
+unsafe fn tiles<const AV: bool>(
+    t: &Tile,
+    outer: &[WalkLevel],
+    ptr: [*mut f32; 3],
+    mut off: [i64; 3],
+) {
+    if let [l, inner @ ..] = outer {
+        for _ in 0..l.extent {
+            tiles::<AV>(t, inner, ptr, off);
+            step(&mut off, l.mac, 1);
+        }
+        return;
+    }
+    let (mut rows, rs) = t.row.as_ref().map_or((1, [0; 3]), |l| (l.extent, l.mac));
+    while rows >= 4 {
+        cols::<4, AV>(t, ptr, off, rs);
+        step(&mut off, rs, 4);
+        rows -= 4;
+    }
+    for _ in 0..rows {
+        cols::<1, AV>(t, ptr, off, rs);
+        step(&mut off, rs, 1);
+    }
+}
+
+/// One block of `MR` rows, `rs` apart, from offsets `off`: the column
+/// level in blocks of 8 columns, then 4, 2 and 1 for the rest.
+///
+/// # Safety
+///
+/// As [`walk_levels`].
+#[inline(always)]
+unsafe fn cols<const MR: usize, const AV: bool>(
+    t: &Tile,
+    ptr: [*mut f32; 3],
+    mut off: [i64; 3],
+    rs: [i64; 3],
+) {
+    let (mut left, cs) = (t.col.extent, t.col.mac);
+    while left >= 8 {
+        block::<MR, 8, AV>(t, ptr, off, rs);
+        step(&mut off, cs, 8);
+        left -= 8;
+    }
+    if left >= 4 {
+        block::<MR, 4, AV>(t, ptr, off, rs);
+        step(&mut off, cs, 4);
+        left -= 4;
+    }
+    if left >= 2 {
+        block::<MR, 2, AV>(t, ptr, off, rs);
+        step(&mut off, cs, 2);
+        left -= 2;
+    }
+    if left == 1 {
+        block::<MR, 1, AV>(t, ptr, off, rs);
+    }
+}
+
+/// One block of `MR` rows by `NR` columns: loads its outputs once, runs
+/// the reduction levels over them in registers and stores them once.
+///
+/// # Safety
+///
+/// As [`walk_levels`].
+#[inline(always)]
+unsafe fn block<const MR: usize, const NR: usize, const AV: bool>(
+    t: &Tile,
+    ptr: [*mut f32; 3],
+    off: [i64; 3],
+    rs: [i64; 3],
+) {
+    // The column steps the store by 1, so a block row is `NR` slots.
+    let row = |r: usize| {
+        ptr[0]
+            .offset((off[0] + r as i64 * rs[0]) as isize)
+            .cast::<[f32; NR]>()
+    };
+    let mut acc: [[f32; NR]; MR] = std::array::from_fn(|r| *row(r));
+    let (loads, at, steps) = ([ptr[1], ptr[2]], [off[1], off[2]], [rs[1], rs[2]]);
+    reduce::<MR, NR, AV>(&t.reduce, &mut acc, loads, at, steps);
+    for (r, out) in acc.iter().enumerate() {
+        *row(r) = *out;
+    }
+}
+
+/// The reduction `levels` of one block, in the loop tree's order, over
+/// its accumulators `acc`, from the offsets `off` of `a` and `b` in the
+/// buffers at `ptr`, whose rows lie `rs` apart: at each point every
+/// accumulator adds `a · b`, as the stack program adds it to the stored
+/// value. The vector operand steps by 1 along a row and stays still across
+/// rows; the other operand is one value per row.
+///
+/// # Safety
+///
+/// As [`walk_levels`].
+unsafe fn reduce<const MR: usize, const NR: usize, const AV: bool>(
+    levels: &[WalkLevel],
+    acc: &mut [[f32; NR]; MR],
+    ptr: [*mut f32; 2],
+    mut off: [i64; 2],
+    rs: [i64; 2],
+) {
+    let [l, inner @ ..] = levels else { return };
+    let [_, sa, sb] = l.mac;
+    if !inner.is_empty() {
+        for _ in 0..l.extent {
+            reduce::<MR, NR, AV>(inner, acc, ptr, off, rs);
+            off[0] += sa;
+            off[1] += sb;
+        }
+        return;
+    }
+    let (v, s) = if AV { (0, 1) } else { (1, 0) };
+    // A local copy keeps the accumulators in registers across the level.
+    let mut x = *acc;
+    for _ in 0..l.extent {
+        let vector = *ptr[v].offset(off[v] as isize).cast::<[f32; NR]>();
+        for (r, row) in x.iter_mut().enumerate() {
+            let scalar = *ptr[s].offset((off[s] + r as i64 * rs[s]) as isize);
+            for (o, &y) in row.iter_mut().zip(&vector) {
+                let (a, b) = if AV { (y, scalar) } else { (scalar, y) };
+                *o += a * b;
+            }
+        }
+        off[0] += sa;
+        off[1] += sb;
+    }
+    *acc = x;
 }
 
 impl NativeKernel {

@@ -20,7 +20,7 @@
 //! [`Walk`] node in place of those loops: its levels' extents and offset
 //! steps, the covered loops' prologues, the statement, and for a
 //! multiply-accumulate each buffer's displacement box for the bounds
-//! check.
+//! check and, where its levels allow, a register [`Tile`].
 
 use alt_loopir::StoreMode;
 use alt_tensor::op::{ScalarBinOp, UnaryOp};
@@ -69,9 +69,12 @@ pub struct CStmt {
 /// nest as its only body node, enters every offset of the statement
 /// affinely and enters none of its conditions. The executor runs the
 /// covered loops' prologues once per entry, with their variables at 0,
-/// for the base offsets, then steps the offsets by the levels' strides in
-/// the loop tree's order, so every point runs the statement as the loops
-/// would have.
+/// for the base offsets, then steps the offsets by the levels' strides,
+/// so every point runs the statement as the loops would have. The points
+/// run in the loop tree's order, except in a multiply-accumulate walk
+/// with a [`Tile`]: its reduction levels move innermost, keeping their
+/// relative order, which the tiling rule shows leaves every slot's
+/// sequence of operations as the loop tree's order has it.
 ///
 /// The covered loops' variable slots keep the 0 of the initial slot file
 /// at every entry, which is where the prologues run.
@@ -94,6 +97,47 @@ pub struct Walk {
     /// or 1, and the output buffer is neither input, so no lane reads what
     /// another lane writes).
     pub mac: Option<bool>,
+    /// The register tile a multiply-accumulate walk runs in, when its
+    /// levels pass the tiling rule (see [`Tile`]); `None` keeps the loop
+    /// tree's order. Boxed: most walks have none.
+    pub tile: Option<Box<Tile>>,
+}
+
+/// The register-tiled order of a multiply-accumulate walk.
+///
+/// The spatial levels (store step ≠ 0) run outside: `outer` as an
+/// odometer, then `row` in blocks of 4 rows and `col` in blocks of 8, 4,
+/// 2 and 1 columns. Each block of `MR` rows by `NR` columns loads its
+/// outputs once into `[[f32; NR]; MR]`, runs the reduction levels (store
+/// step 0) innermost in their loop-tree order, adding `a · b` to each
+/// accumulator at each point, and stores the outputs once.
+///
+/// A slot's adds are the points of the reduction levels at its spatial
+/// point, so this order gives every slot the same `old + a · b` roundings
+/// in the same sequence as the loop tree's order when: the output buffer
+/// is neither load's, so no load sees another point's store; the store is
+/// injective over the spatial levels (sorted by |store step|, each step
+/// exceeds the span `Σ (extent − 1)·|step|` of the smaller ones), so no
+/// two spatial points share a slot; and the reduction levels keep their
+/// relative order. A walk also needs a reduction level, or no output is
+/// reused across points, and a column level with steps `[1, 0, 1]` (`b`
+/// is the vector operand) or `[1, 1, 0]` (`a` is).
+#[derive(Clone, Debug)]
+pub struct Tile {
+    /// The spatial levels other than the row and column, in the loop
+    /// tree's order.
+    pub outer: Vec<WalkLevel>,
+    /// The row level: a spatial level that leaves the vector operand
+    /// still. Without one a block has one row.
+    pub row: Option<WalkLevel>,
+    /// The column level: the store and the vector operand step by 1, the
+    /// other operand by 0.
+    pub col: WalkLevel,
+    /// Whether `a` is the vector operand (column steps `[1, 1, 0]`); the
+    /// product is `a · b` either way.
+    pub a_vector: bool,
+    /// The reduction levels, in the loop tree's order.
+    pub reduce: Vec<WalkLevel>,
 }
 
 /// One covered loop of a [`Walk`].
@@ -184,6 +228,8 @@ pub struct KernelStats {
     pub walks: usize,
     /// Walks of a multiply-accumulate `out += a · b`.
     pub typed_loops: usize,
+    /// Multiply-accumulate walks that run register-tiled ([`Tile`]).
+    pub tiled: usize,
     /// Loops the walks cover, summed over the walks.
     pub walk_levels: usize,
     /// Loops marked parallel.
@@ -202,6 +248,7 @@ impl NativeKernel {
                         s.fops += w.stmt.fops.len();
                         s.walks += 1;
                         s.typed_loops += usize::from(w.mac.is_some());
+                        s.tiled += usize::from(w.tile.is_some());
                         s.walk_levels += w.levels.len();
                     }
                     CNode::Loop(l) => {

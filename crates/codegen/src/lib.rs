@@ -18,13 +18,20 @@
 //!    interpreter's recursive descent; `Select` compiles to branches so
 //!    only the taken arm is evaluated (untaken arms may index out of
 //!    bounds by design).
-//! 2. **Walks visit points in the loop tree's order.** A single-statement
-//!    nest runs as a walk ([`ir::Walk`]) that steps the statement's
-//!    offsets instead of rerunning its loops' index ops, but it interchanges
-//!    no loop, so every slot sees the same loads, operations and stores in
-//!    the same order as under the interpreter, and reductions accumulate in
-//!    exactly its sequence. The machine profile plays no part: the same
-//!    program compiles to the same kernel on every profile.
+//! 2. **Every slot sees its operations in the interpreter's order.** A
+//!    single-statement nest runs as a walk ([`ir::Walk`]) that steps the
+//!    statement's offsets instead of rerunning its loops' index ops. A walk
+//!    visits its points in the loop tree's order, except a
+//!    multiply-accumulate walk that passes the tiling rule ([`ir::Tile`]),
+//!    which moves its reduction levels (store step 0) innermost in their
+//!    relative order. A slot's adds are the reduction points at its one
+//!    spatial point, so that order keeps each slot's sequence of
+//!    `old + a · b` roundings when the output buffer is neither load's (no
+//!    load sees another point's store) and the store is injective over the
+//!    spatial levels (no two spatial points share a slot); reductions thus
+//!    accumulate in exactly the interpreter's sequence. The machine profile
+//!    plays no part: the same program compiles to the same kernel on every
+//!    profile.
 //! 3. **Disjoint parallel partitions.** `@par` loops run on scoped
 //!    threads over contiguous iteration ranges. Lowering only marks
 //!    spatial (output-partitioning) loops parallel, so threads write
@@ -63,16 +70,21 @@
 //!    walk and skips an accumulating one, as the interpreter's pad
 //!    semantics do. A multiply-accumulate `out += a · b` checks each
 //!    buffer's displacement box once per entry and runs over three `f32`
-//!    pointers: each point loads `a`, loads `b`, multiplies, loads the old
-//!    value, adds and stores, and Rust never contracts a multiply and an
-//!    add into a fused multiply-add. Its innermost level runs as slice
-//!    adds when its lanes write distinct slots that no lane reads (store
-//!    stride 1, load strides 0 or 1, the output buffer neither input),
-//!    which rustc vectorizes; otherwise it is a strided lane loop. Any
-//!    other statement steps its offset registers in place and runs its
-//!    stack program at each point, with reads and writes debug-checked as
-//!    outside a walk: a load in an untaken `Select` arm may lie out of
-//!    range, so no box is checked for it.
+//!    pointers: each point loads `a`, loads `b`, multiplies and adds the
+//!    product to the old value, and Rust never contracts a multiply and an
+//!    add into a fused multiply-add. A tiled one (property 2) runs blocks
+//!    of up to 4 rows by 8 columns of outputs in registers: each block
+//!    loads its outputs once, adds `a · b` at every reduction point and
+//!    stores once, and a stored `f32` reloads unchanged, so each slot's
+//!    value is the one the stack program leaves. An untiled one visits the
+//!    loop tree's order, and its innermost level runs as slice adds when
+//!    its lanes write distinct slots that no lane reads (store stride 1,
+//!    load strides 0 or 1, the output buffer neither input), which rustc
+//!    vectorizes; otherwise it is a strided lane loop. Any other statement
+//!    steps its offset registers in place and runs its stack program at
+//!    each point, with reads and writes debug-checked as outside a walk: a
+//!    load in an untaken `Select` arm may lie out of range, so no box is
+//!    checked for it.
 
 pub mod compile;
 pub mod exec;

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use alt_codegen::compile;
-use alt_codegen::ir::{CLoop, CNode, FOp, NativeKernel, Walk};
+use alt_codegen::ir::{CLoop, CNode, FOp, NativeKernel, Tile, Walk, WalkLevel};
 use alt_layout::{presets, Layout, LayoutPlan, LayoutPrim, PropagationMode};
 use alt_loopir::tir::TirNode;
 use alt_loopir::{
@@ -762,6 +762,132 @@ fn max_pool_nests_run_as_walks() {
         assert_eq!(pools.len(), 1, "{:?}", kernel.stats());
         assert!(pools[0].walk.levels.len() >= 2);
     }
+}
+
+/// Asserts bit-identity on every profile as [`assert_typed_and_bit_identical`]
+/// does, and that the kernel's one multiply-accumulate walk runs
+/// register-tiled; returns the walk and its tile.
+fn assert_tiled_and_bit_identical(
+    program: &Program,
+    g: &Graph,
+    plan: &LayoutPlan,
+    bindings: &HashMap<TensorId, NdBuf>,
+    what: &str,
+) -> (Walk, Tile) {
+    let kernel = assert_typed_and_bit_identical(program, g, plan, bindings, what);
+    assert_eq!(kernel.stats().tiled, 1, "{what}: {:?}", kernel.stats());
+    let (walks, _) = walks_and_stmt_loops(&kernel);
+    let walk = macs(&walks)[0].walk.clone();
+    let tile = walk
+        .tile
+        .clone()
+        .expect("the multiply-accumulate walk is tiled");
+    (walk, *tile)
+}
+
+/// The extents of `levels`.
+fn extents(levels: &[WalkLevel]) -> Vec<i64> {
+    levels.iter().map(|l| l.extent).collect()
+}
+
+#[test]
+fn tiled_gmm_runs_register_tiled() {
+    // The walk `k.i m.i n.i` tiles: `k.i` reduces, `m.i` is the row (it
+    // leaves the weight still) and `n.i` the column, with the weight as
+    // the vector operand (steps `[1, 0, 1]`).
+    let (g, plan, program) = tiled_gmm();
+    let bindings = random_bindings(&g, 21);
+    let (_, tile) = assert_tiled_and_bit_identical(&program, &g, &plan, &bindings, "tiled gmm");
+    assert!(!tile.a_vector);
+    assert_eq!(tile.col.mac, [1, 0, 1]);
+    assert_eq!(tile.row.as_ref().map(|l| l.extent), Some(2));
+    assert_eq!((extents(&tile.reduce), tile.outer.len()), (vec![4], 0));
+}
+
+#[test]
+fn swapped_operand_conv_tiles_with_the_input_as_its_vector() {
+    // A 1-D conv in NCW with `w` innermost: along `w.i` the output and the
+    // input (the left operand) step by 1 and the weight by 0, so the
+    // column's steps are `[1, 1, 0]`; `o.i` leaves the input still and is
+    // the row. The product stays `x · w`.
+    let mut g = Graph::new();
+    let x = g.add_input("x", Shape::new([1, 4, 18]));
+    let w = g.add_param("w", Shape::new([8, 4, 3]));
+    let y = ops::conv1d(&mut g, x, w, ConvCfg::default());
+    let conv = g.tensor(y).producer.unwrap();
+    let plan = LayoutPlan::new(PropagationMode::Full);
+    let mut sched = GraphSchedule::naive();
+    sched.set(
+        conv,
+        OpSchedule {
+            spatial: vec![AxisTiling::none(), AxisTiling::one(4), AxisTiling::one(8)],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    let bindings = random_bindings(&g, 22);
+    let (_, tile) =
+        assert_tiled_and_bit_identical(&program, &g, &plan, &bindings, "swapped-operand conv");
+    assert!(tile.a_vector);
+    assert_eq!(tile.col.mac, [1, 1, 0]);
+    assert_eq!(tile.row.as_ref().map(|l| l.mac[1]), Some(0));
+    assert_eq!(extents(&tile.reduce), [4, 3], "ri, then rw");
+}
+
+#[test]
+fn gmm_with_a_spatial_level_between_reductions_keeps_their_order() {
+    // Two-level spatial tilings interleave the nest as
+    // `k.0 m.1 n.1 k.1 m.2 n.2@vec`: the tile runs `k.0` and then `k.1`
+    // innermost, below every spatial level.
+    let (g, _, op, _) = gmm_graph(16, 16, 32);
+    let plan = LayoutPlan::new(PropagationMode::Full);
+    let mut sched = GraphSchedule::naive();
+    sched.set(
+        op,
+        OpSchedule {
+            spatial: vec![AxisTiling::two(2, 2), AxisTiling::two(2, 8)],
+            reduce: vec![AxisTiling::one(4)],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    let bindings = random_bindings(&g, 23);
+    let (walk, tile) =
+        assert_tiled_and_bit_identical(&program, &g, &plan, &bindings, "interleaved gmm");
+    let reduces: Vec<bool> = walk.levels.iter().map(|l| l.mac[0] == 0).collect();
+    assert_eq!(reduces, [true, false, false, true, false, false]);
+    assert_eq!(
+        tile.reduce.iter().map(|l| l.mac).collect::<Vec<_>>(),
+        [walk.levels[0].mac, walk.levels[3].mac]
+    );
+    assert_eq!(tile.outer.len(), 2, "m.1 and n.1");
+}
+
+#[test]
+fn tiles_with_ragged_rows_and_columns_are_bit_identical() {
+    // 17 rows run as four blocks of 4 and one row; 15 columns as blocks
+    // of 8, 4, 2 and 1.
+    let (g, _, op, _) = gmm_graph(17, 5, 15);
+    let plan = LayoutPlan::new(PropagationMode::Full);
+    let mut sched = GraphSchedule::naive();
+    sched.set(
+        op,
+        OpSchedule {
+            spatial: vec![AxisTiling::one(17), AxisTiling::one(15)],
+            vectorize: true,
+            parallel: true,
+            ..OpSchedule::default()
+        },
+    );
+    let program = lower(&g, &plan, &sched);
+    let bindings = random_bindings(&g, 24);
+    let (_, tile) = assert_tiled_and_bit_identical(&program, &g, &plan, &bindings, "ragged gmm");
+    assert_eq!(tile.row.as_ref().map(|l| l.extent), Some(17));
+    assert_eq!((tile.col.extent, extents(&tile.reduce)), (15, vec![5]));
 }
 
 /// Model graphs end to end (prefix-truncated so the interpreter side

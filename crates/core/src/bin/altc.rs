@@ -246,7 +246,7 @@ SUBCOMMANDS:
 /// native kernel executor (`--native`), the reference interpreter, or
 /// both with a bit-exact differential check (`--check`). With `--native`
 /// also prints the kernel's [`KernelStats`](alt_codegen::KernelStats)
-/// (groups, integer and float ops, walks and typed walks) and the
+/// (groups, integer and float ops, walks, typed and register-tiled walks) and the
 /// per-op calibration table (native wall clock vs the analytic model's
 /// prediction).
 #[allow(clippy::too_many_lines)]
@@ -445,6 +445,7 @@ fn run_run(rest: &[String]) -> i32 {
                     "fops": k.fops,
                     "walks": k.walks,
                     "typed_loops": k.typed_loops,
+                    "tiled": k.tiled,
                     "walk_levels": k.walk_levels,
                     "par_loops": k.par_loops,
                 }),
@@ -480,8 +481,16 @@ fn run_run(rest: &[String]) -> i32 {
         if let Some((_, stats, table, k)) = &native_res {
             println!(
                 "kernel: {} groups, {} integer ops, {} float ops, {} walks \
-                 ({} typed multiply-accumulate) over {} walk_levels, {} parallel loops",
-                k.groups, k.iops, k.fops, k.walks, k.typed_loops, k.walk_levels, k.par_loops
+                 ({} typed multiply-accumulate, {} register-tiled) over {} walk_levels, \
+                 {} parallel loops",
+                k.groups,
+                k.iops,
+                k.fops,
+                k.walks,
+                k.typed_loops,
+                k.tiled,
+                k.walk_levels,
+                k.par_loops
             );
             println!(
                 "native: {:.1} us ({} threads); pack {:.1} us, unpack {:.1} us",
