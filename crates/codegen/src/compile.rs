@@ -16,15 +16,19 @@
 //! is that the tuned winners' offsets become affine in their loop
 //! variables. `strides` reads a statement's offset strides in a loop's
 //! variable while the loop's range is open: a loop that is not `@par`,
-//! holds one statement alone and has strides (enters every offset
-//! affinely and no condition) starts a [`Walk`], and every enclosing loop
-//! joins it while it is not `@par`, holds the walk alone and has strides.
-//! A joining loop's prologue becomes part of the walk's, and its extent
-//! and strides the walk's new outer level. Once a group's walks are
-//! final, each multiply-accumulate walk whose levels pass the tiling rule
-//! gets a register [`Tile`]: its reduction levels run innermost in their
+//! holds one or more statements and nothing else, and has strides (enters
+//! every offset of its statements affinely and none of their conditions)
+//! starts a [`Walk`], and every enclosing loop joins it while it is not
+//! `@par`, holds the walk alone and has strides. A joining loop's
+//! prologue becomes part of the walk's, and its extent and strides the
+//! walk's new outer level. Once a group's walks are final, each
+//! multiply-accumulate walk whose levels pass the tiling rule gets a
+//! register [`Tile`]: its reduction levels run innermost in their
 //! relative order, which its extents and strides show keeps every slot's
-//! sequence of adds.
+//! sequence of adds. Every other walk whose statements pass the row rule
+//! runs its innermost level as rows: each statement over the whole row at
+//! once, which its stores' and loads' buffers and slots show gives every
+//! load the value the loop tree's order gives it.
 //!
 //! The simplified expressions are compiled by [`SlotCompiler`], the
 //! loop-nest index compiler the layout walks share: structurally equal
@@ -50,15 +54,29 @@ use crate::ir::{
     CGroup, CLoop, CNode, CStmt, FOp, NativeKernel, Tile, Walk, WalkAccess, WalkLevel,
 };
 
-/// Symbolic side table of one compiled statement, kept only during
-/// compilation to decide which loops its walk covers.
+/// Symbolic side table of a compiled statement, or of a walk's statements
+/// merged, kept only during compilation to decide which loops a walk
+/// covers.
+#[derive(Default)]
 struct StmtSym {
-    /// Flattened offset expressions: the store's, then each load's in
-    /// stack-program order.
+    /// Flattened offset expressions: each statement's store, then its
+    /// loads in stack-program order.
     offsets: Vec<Expr>,
-    /// Every condition the statement consults that the loop ranges do
-    /// not decide: the store predicate plus `Select` conditions.
+    /// Every condition the statements consult that the loop ranges do
+    /// not decide: the store predicates plus `Select` conditions.
     conds: Vec<Cond>,
+}
+
+impl StmtSym {
+    /// The side table of a loop body's statements or walk, in body order.
+    fn merge(syms: Vec<Option<StmtSym>>) -> Self {
+        let mut all = Self::default();
+        for s in syms.into_iter().flatten() {
+            all.offsets.extend(s.offsets);
+            all.conds.extend(s.conds);
+        }
+        all
+    }
 }
 
 struct Compiler {
@@ -203,25 +221,40 @@ impl Compiler {
                     body,
                 } => {
                     let var_reg = self.slots.push_loop(var.id(), *extent);
-                    let (mut cbody, mut bsyms) = self.compile_nodes(body);
-                    // A loop that is not `@par` and holds one statement or
-                    // walk alone starts or joins a walk when the statement
-                    // has strides in its variable.
-                    let strides = match &bsyms[..] {
-                        [Some(sym)] if *extent > 0 && *kind != LoopKind::Parallel => {
-                            strides(self.slots.ranges(), var.id(), sym)
-                        }
-                        _ => None,
-                    };
+                    let (mut cbody, bsyms) = self.compile_nodes(body);
+                    // A loop that is not `@par` and whose body is one walk,
+                    // or one or more statements, starts or joins a walk
+                    // when its statements have strides in its variable.
+                    let walkable = *extent > 0
+                        && *kind != LoopKind::Parallel
+                        && match &cbody[..] {
+                            [CNode::Walk(_)] => true,
+                            [] => false,
+                            nodes => nodes.iter().all(|n| matches!(n, CNode::Stmt(_))),
+                        };
+                    let sym = walkable.then(|| StmtSym::merge(bsyms));
+                    let strides = sym
+                        .as_ref()
+                        .and_then(|sym| strides(self.slots.ranges(), var.id(), sym));
                     if let Some(strides) = strides {
                         let mut walk = match cbody.pop() {
                             Some(CNode::Walk(w)) => w,
-                            Some(CNode::Stmt(s)) => Walk::of(s),
-                            _ => unreachable!("a walk's body is one node"),
+                            last => Walk::of(
+                                cbody
+                                    .into_iter()
+                                    .chain(last)
+                                    .map(|n| match n {
+                                        CNode::Stmt(s) => s,
+                                        _ => {
+                                            unreachable!("a walk's body is one walk or statements")
+                                        }
+                                    })
+                                    .collect(),
+                            ),
                         };
                         walk.enclose(self.slots.pop_loop(), *extent, strides);
                         out.push(CNode::Walk(walk));
-                        syms.push(bsyms.pop().flatten());
+                        syms.push(sym);
                         continue;
                     }
                     out.push(CNode::Loop(CLoop {
@@ -246,8 +279,8 @@ fn cond_uses_var(c: &Cond, var: u32) -> bool {
     }
 }
 
-/// The strides of a statement's offsets (the store's, then each load's)
-/// in loop variable `var`, when on the loops' `ranges` every offset is
+/// The strides of statements' offsets (each store's, then its loads') in
+/// loop variable `var`, when on the loops' `ranges` every offset is
 /// affine in `var` and no predicate or `Select` condition depends on it.
 /// Points of the loop then differ only by fixed offset steps, and a walk
 /// level runs its prologue once per walk entry.
@@ -272,28 +305,36 @@ fn is_mac(s: &CStmt) -> bool {
         )
 }
 
+/// The buffers and offset slots of a statement's loads, in stack-program
+/// order.
+fn loads(s: &CStmt) -> impl Iterator<Item = (u32, u32)> + '_ {
+    s.fops.iter().filter_map(|f| match *f {
+        FOp::Load { buf, off } => Some((buf, off)),
+        _ => None,
+    })
+}
+
 impl Walk {
-    /// A walk of no level over the statement `stmt`.
-    fn of(stmt: CStmt) -> Self {
-        let access = |buf, off| WalkAccess {
-            buf,
-            off,
-            lo: 0,
-            hi: 0,
-        };
-        let loads = stmt.fops.iter().filter_map(|f| match *f {
-            FOp::Load { buf, off } => Some(access(buf, off)),
-            _ => None,
-        });
+    /// A walk of no level over the statements `stmts`, in body order.
+    fn of(stmts: Vec<CStmt>) -> Self {
+        let access = stmts
+            .iter()
+            .flat_map(|s| std::iter::once((s.buf, s.off)).chain(loads(s)))
+            .map(|(buf, off)| WalkAccess {
+                buf,
+                off,
+                lo: 0,
+                hi: 0,
+            })
+            .collect();
         Self {
             prologue: Vec::new(),
             levels: Vec::new(),
-            access: std::iter::once(access(stmt.buf, stmt.off))
-                .chain(loads)
-                .collect(),
-            mac: is_mac(&stmt).then_some(false),
+            access,
+            mac: matches!(&stmts[..], [s] if is_mac(s)).then_some(false),
             tile: None,
-            stmt,
+            rows: false,
+            stmts,
         }
     }
 
@@ -336,17 +377,45 @@ impl Walk {
     }
 }
 
-/// Plans the register tile of every walk in `nodes`. A walk grows while
-/// an enclosing loop joins it, so tiles are planned once a group's walks
-/// are final.
-fn plan_tiles(nodes: &mut [CNode]) {
+/// Plans the register tile and the rows of every walk in `nodes`. A walk
+/// grows while an enclosing loop joins it, so both are planned once a
+/// group's walks are final.
+fn plan_walks(nodes: &mut [CNode]) {
     for n in nodes {
         match n {
-            CNode::Walk(w) => w.tile = tile(w).map(Box::new),
-            CNode::Loop(l) => plan_tiles(&mut l.body),
+            CNode::Walk(w) => {
+                w.tile = tile(w).map(Box::new);
+                w.rows = rows(w);
+            }
+            CNode::Loop(l) => plan_walks(&mut l.body),
             CNode::Stmt(_) => {}
         }
     }
+}
+
+/// Whether a walk runs its innermost level as rows: it is not a
+/// multiply-accumulate, and its statements pass the row rule ([`Walk`]).
+/// A buffer that a statement stores is loaded, by that statement or a
+/// later one, only through the store's own offset slot, which the
+/// innermost level steps by a nonzero amount; and no statement loads or
+/// stores a buffer that a later statement stores.
+fn rows(w: &Walk) -> bool {
+    let Some(row) = w.levels.last() else {
+        return false;
+    };
+    let moves = |reg: u32| row.steps.iter().any(|&(r, s)| r == reg && s != 0);
+    w.mac.is_none()
+        && w.stmts.iter().enumerate().all(|(k, s)| {
+            let (earlier, rest) = w.stmts.split_at(k);
+            let own_slot = rest
+                .iter()
+                .flat_map(loads)
+                .all(|(buf, off)| buf != s.buf || (off == s.off && moves(off)));
+            let untouched_before = earlier
+                .iter()
+                .all(|e| e.buf != s.buf && loads(e).all(|(buf, _)| buf != s.buf));
+            own_slot && untouched_before
+        })
 }
 
 /// The register tile of a multiply-accumulate walk whose levels pass the
@@ -420,7 +489,7 @@ pub fn compile(program: &Program, _profile: &MachineProfile) -> NativeKernel {
     let mut groups = Vec::with_capacity(program.groups.len());
     for g in &program.groups {
         let (mut nodes, _) = c.compile_nodes(&g.nodes);
-        plan_tiles(&mut nodes);
+        plan_walks(&mut nodes);
         groups.push(CGroup {
             label: g.label.clone(),
             prologue: c.slots.take_root(),
@@ -441,7 +510,7 @@ mod tests {
     /// `b`) with `levels` (extent, store/`a`/`b` steps), outermost first.
     fn mac_walk(bufs: [u32; 3], levels: &[(i64, [i64; 3])]) -> Walk {
         let [o, a, b] = bufs;
-        let mut w = Walk::of(CStmt {
+        let mut w = Walk::of(vec![CStmt {
             buf: o,
             off: 0,
             pred: None,
@@ -451,11 +520,106 @@ mod tests {
                 FOp::Load { buf: b, off: 2 },
                 FOp::Bin(ScalarBinOp::Mul),
             ],
-        });
+        }]);
         for &(extent, steps) in levels.iter().rev() {
             w.enclose(Vec::new(), extent, steps.to_vec());
         }
         w
+    }
+
+    /// `buf[slot] = fops` (slot registers are the tests' own numbering).
+    fn assign(buf: u32, off: u32, fops: Vec<FOp>) -> CStmt {
+        CStmt {
+            buf,
+            off,
+            pred: None,
+            mode: StoreMode::Assign,
+            fops,
+        }
+    }
+
+    fn load(buf: u32, off: u32) -> FOp {
+        FOp::Load { buf, off }
+    }
+
+    /// The rows plan of a one-level walk of 8 lanes over `stmts`, whose
+    /// accesses (each store, then its loads) step by `strides`.
+    fn runs_as_rows(stmts: Vec<CStmt>, strides: &[i64]) -> bool {
+        let mut w = Walk::of(stmts);
+        w.enclose(Vec::new(), 8, strides.to_vec());
+        rows(&w)
+    }
+
+    // Buffers `x` 0, `bias` 1, `t` 2, `out` 3; `t` stores through slot 0.
+    const ADD: FOp = FOp::Bin(ScalarBinOp::Add);
+    const GELU: FOp = FOp::Un(alt_tensor::op::UnaryOp::Gelu);
+
+    /// `t = x + bias`, with `x` through slot 1 and `bias` through slot 2.
+    fn bias_add() -> CStmt {
+        assign(2, 0, vec![load(0, 1), load(1, 2), ADD])
+    }
+
+    #[test]
+    fn a_bias_then_gelu_epilogue_runs_as_rows() {
+        // `out = gelu(t)` reads `t` through its store's slot 0, which the
+        // row steps by 1: lane `i` reads what lane `i` of `t` wrote.
+        let gelu = assign(3, 3, vec![load(2, 0), GELU]);
+        assert!(runs_as_rows(vec![bias_add(), gelu], &[1, 1, 0, 1, 1]));
+    }
+
+    #[test]
+    fn an_in_place_scale_at_its_own_store_slot_runs_as_rows() {
+        let scale = assign(
+            0,
+            0,
+            vec![load(0, 0), FOp::Imm(0.5), FOp::Bin(ScalarBinOp::Mul)],
+        );
+        assert!(runs_as_rows(vec![scale], &[1, 1]));
+        // Read through another slot, lane `i` may read what lane `i - 1`
+        // has stored.
+        let shifted = assign(
+            0,
+            0,
+            vec![load(0, 4), FOp::Imm(0.5), FOp::Bin(ScalarBinOp::Mul)],
+        );
+        assert!(!runs_as_rows(vec![shifted], &[1, 1]));
+    }
+
+    #[test]
+    fn a_load_of_a_stored_buffer_through_another_slot_runs_point_by_point() {
+        // `out = gelu(t)` one slot ahead of `t`'s store (slot 4).
+        let ahead = assign(3, 3, vec![load(2, 4), GELU]);
+        assert!(!runs_as_rows(vec![bias_add(), ahead], &[1, 1, 0, 1, 1]));
+    }
+
+    #[test]
+    fn a_later_load_of_a_store_the_row_holds_still_runs_point_by_point() {
+        // `t`'s slot steps by 0: every lane of `t = x + bias` stores to
+        // one slot, and each point's `gelu` reads that point's value.
+        let gelu = assign(3, 3, vec![load(2, 0), GELU]);
+        assert!(!runs_as_rows(vec![bias_add(), gelu], &[0, 1, 0, 1, 0]));
+        // Unread, such a store keeps the loop tree's sequence.
+        assert!(runs_as_rows(vec![bias_add()], &[0, 1, 0]));
+    }
+
+    #[test]
+    fn an_earlier_load_of_a_later_store_runs_point_by_point() {
+        // `out = gelu(t)` before `t = x + bias`: each point reads `t`
+        // before that point stores it.
+        let gelu = assign(3, 3, vec![load(2, 0), GELU]);
+        assert!(!runs_as_rows(vec![gelu, bias_add()], &[1, 1, 1, 1, 0]));
+    }
+
+    #[test]
+    fn two_stores_to_one_buffer_run_point_by_point() {
+        let copy = assign(2, 0, vec![load(0, 1)]);
+        assert!(!runs_as_rows(vec![bias_add(), copy], &[1, 1, 0, 1, 1]));
+    }
+
+    #[test]
+    fn multiply_accumulate_walks_never_run_as_rows() {
+        let w = mac_walk([0, 1, 2], &GMM);
+        assert!(w.mac.is_some() && !rows(&w));
     }
 
     /// `k.o m.i k.i n.i` of a 5×8 by 8×16 product, row-major.

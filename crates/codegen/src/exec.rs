@@ -3,12 +3,15 @@
 //! The executor interprets the compiled instruction streams directly —
 //! integer prologues into a flat register file through the op loop the
 //! layout walks also use ([`alt_tensor::range::run`]), statement bodies
-//! on a reusable value stack — touching buffers only through precomputed
-//! flat offsets. Three loop strategies exist:
+//! on a reusable stack of lane vectors, a row at a time — touching
+//! buffers only through precomputed flat offsets. One evaluator runs
+//! every statement over a row of `n` lanes: a bare statement, or a point
+//! of a walk without rows, is a row of one lane. Three loop strategies
+//! exist:
 //!
 //! * **Scalar**: bind the loop register, run the prologue, run the body.
-//! * **Walk** (a single-statement nest, [`Walk`]): run the covered loops'
-//!   prologues once, then step the statement's offsets by the levels'
+//! * **Walk** (a nest of statements, [`Walk`]): run the covered loops'
+//!   prologues once, then step the statements' offsets by the levels'
 //!   strides. A multiply-accumulate checks each buffer's displacement box
 //!   once and steps three `f32` offsets, each point doing the stack
 //!   program's loads, multiply and add. With a [`Tile`] it runs the
@@ -19,21 +22,27 @@
 //!   tiling rule keeps every slot's sequence of adds (see [`Tile`]).
 //!   Without one it visits the loop tree's order, its innermost level as
 //!   slice adds when its lanes are independent, else as a strided lane
-//!   loop. Any other statement steps its offset registers in place and
-//!   runs its stack program at each point, in the loop tree's order.
+//!   loop. Any other walk steps its offset registers in place in the loop
+//!   tree's order. With rows (the row rule holds, see [`Walk`]) its
+//!   innermost level is one row: each statement in body order gathers
+//!   every load's lanes (a slice copy at step 1, a splat at step 0,
+//!   strided otherwise), applies each op lane by lane and stores the lanes
+//!   in lane order. Without rows each point runs the statements in body
+//!   order as rows of one lane.
 //! * **Parallel** (`@par`): split the iteration space into contiguous
-//!   ranges on scoped threads. Lowering marks only spatial loops
-//!   parallel, so ranges write disjoint slots and per-slot accumulation
-//!   order is preserved; nested parallel loops run serially inside a
-//!   worker.
+//!   ranges; the calling thread runs the first and a scoped thread each
+//!   of the others. Lowering marks only spatial loops parallel, so ranges
+//!   write disjoint slots and per-slot accumulation order is preserved;
+//!   nested parallel loops run serially inside a worker.
 //!
-//! Buffer accesses are bounds-checked in debug builds and unchecked in
-//! release, except a multiply-accumulate walk's, whose displacement boxes
-//! are checked once per entry in every build (a stack program's load in
-//! an untaken `Select` arm may lie out of range, so other walks check
-//! only what they touch); offsets come from the same index expressions
-//! the interpreter evaluates, so any out-of-range offset is a lowering bug
-//! that the differential tests catch in debug mode first.
+//! Buffer accesses are bounds-checked in debug builds, once per row at
+//! its first and last lane, and unchecked in release, except a
+//! multiply-accumulate walk's, whose displacement boxes are checked once
+//! per entry in every build (a stack program's load in an untaken
+//! `Select` arm may lie out of range, so other walks check only what they
+//! touch); offsets come from the same index expressions the interpreter
+//! evaluates, so any out-of-range offset is a lowering bug that the
+//! differential tests catch in debug mode first.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -41,7 +50,7 @@ use std::time::Instant;
 use alt_layout::LayoutPlan;
 use alt_loopir::tir::Program;
 use alt_loopir::{pack_buffers, unpack_buffers, StoreMode};
-use alt_tensor::op::ScalarBinOp;
+use alt_tensor::op::{ScalarBinOp, UnaryOp};
 use alt_tensor::range;
 use alt_tensor::{Graph, NdBuf, TensorId};
 
@@ -88,17 +97,6 @@ unsafe impl Send for Bufs {}
 unsafe impl Sync for Bufs {}
 
 impl Bufs {
-    #[inline]
-    fn read(&self, buf: u32, off: i64) -> f32 {
-        let s = &self.slots[buf as usize];
-        debug_assert!(
-            off >= 0 && (off as usize) < s.len,
-            "load offset {off} out of bounds for buffer {buf} (len {})",
-            s.len
-        );
-        unsafe { *s.ptr.add(off as usize) }
-    }
-
     /// The base pointer of an access's buffer for a walk from offset
     /// `off`, after checking (in every build: once per walk entry, not per
     /// point) that the access's displacement box around `off`, and so
@@ -116,39 +114,141 @@ impl Bufs {
         s.ptr
     }
 
+    /// The base pointer of buffer `buf` for a row of `n` lanes from
+    /// offset `off`, `step` apart, after checking in debug builds that its
+    /// first and last lane, and so every lane, lie inside the buffer.
     #[inline]
-    fn write(&self, buf: u32, off: i64, v: f32) {
+    fn row(&self, buf: u32, off: i64, step: i64, n: usize, what: &str) -> *mut f32 {
         let s = &self.slots[buf as usize];
+        let last = off + (n as i64 - 1) * step;
         debug_assert!(
-            off >= 0 && (off as usize) < s.len,
-            "store offset {off} out of bounds for buffer {buf} (len {})",
+            off.min(last) >= 0 && (off.max(last) as usize) < s.len,
+            "{what} offsets {off}..={last} out of bounds for buffer {buf} (len {})",
             s.len
         );
-        unsafe { *s.ptr.add(off as usize) = v };
+        s.ptr
+    }
+
+    /// Reads the lanes `dst` of a row from offset `off` of buffer `buf`,
+    /// `step` apart.
+    #[inline]
+    fn gather(&self, buf: u32, off: i64, step: i64, dst: &mut [f32]) {
+        let p = self.row(buf, off, step, dst.len(), "load");
+        // SAFETY: every lane lies inside the buffer (checked in debug
+        // builds; offsets come from the interpreter's index expressions).
+        unsafe {
+            let p = p.offset(off as isize);
+            match step {
+                1 => dst.copy_from_slice(std::slice::from_raw_parts(p, dst.len())),
+                0 => dst.fill(*p),
+                _ => {
+                    for (k, d) in dst.iter_mut().enumerate() {
+                        *d = *p.offset(k as isize * step as isize);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stores the lanes `v` of a row from offset `off` of buffer `buf`,
+    /// `step` apart, lane by lane in lane order: `Assign` writes each
+    /// value, `AddAcc` stores `old + v` and `MaxAcc` `old.max(v)`.
+    #[inline]
+    fn scatter(&self, buf: u32, off: i64, step: i64, mode: StoreMode, v: &[f32]) {
+        let p = self.row(buf, off, step, v.len(), "store");
+        // SAFETY: as `gather`; parallel workers write disjoint slots (see
+        // `Bufs`).
+        unsafe {
+            let p = p.offset(off as isize);
+            if step == 1 {
+                let out = std::slice::from_raw_parts_mut(p, v.len());
+                match mode {
+                    StoreMode::Assign => out.copy_from_slice(v),
+                    StoreMode::AddAcc => lanewise(out, v, |old, x| old + x),
+                    StoreMode::MaxAcc => lanewise(out, v, f32::max),
+                }
+                return;
+            }
+            for (k, &x) in v.iter().enumerate() {
+                let q = p.offset(k as isize * step as isize);
+                *q = match mode {
+                    StoreMode::Assign => x,
+                    StoreMode::AddAcc => *q + x,
+                    StoreMode::MaxAcc => (*q).max(x),
+                };
+            }
+        }
     }
 }
 
 /// Per-thread mutable execution state.
 struct ThreadState {
     regs: Vec<i64>,
-    stack: Vec<f32>,
+    /// The running statement's stack of lane vectors, one row wide each,
+    /// bottom first; grown on demand and reused.
+    lanes: Vec<f32>,
 }
 
-#[inline]
-fn apply_fbin(op: ScalarBinOp, x: f32, y: f32) -> f32 {
-    match op {
-        ScalarBinOp::Add => x + y,
-        ScalarBinOp::Sub => x - y,
-        ScalarBinOp::Mul => x * y,
-        ScalarBinOp::Div => x / y,
-        ScalarBinOp::Max => x.max(y),
-        ScalarBinOp::Min => x.min(y),
+impl ThreadState {
+    /// A state over the register file `regs`.
+    fn new(regs: Vec<i64>) -> Self {
+        Self {
+            regs,
+            lanes: Vec::new(),
+        }
     }
 }
 
+/// Pushes a vector of `n` lanes onto the stack `lanes` that ends at `top`
+/// and returns it, growing the stack when it is too short.
 #[inline]
-fn pop(stack: &mut Vec<f32>) -> f32 {
-    stack.pop().expect("compiled stack program underflow")
+fn push<'a>(lanes: &'a mut Vec<f32>, top: &mut usize, n: usize) -> &'a mut [f32] {
+    if lanes.len() < *top + n {
+        lanes.resize(*top + n, 0.0);
+    }
+    *top += n;
+    &mut lanes[*top - n..*top]
+}
+
+/// Sets each lane of `a` to `f` of it and the same lane of `b`.
+#[inline(always)]
+fn lanewise(a: &mut [f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x = f(*x, y);
+    }
+}
+
+/// Applies `op` lane by lane, `a <op> b` into `a`, matching it once.
+fn bin(op: ScalarBinOp, a: &mut [f32], b: &[f32]) {
+    match op {
+        ScalarBinOp::Add => lanewise(a, b, |x, y| x + y),
+        ScalarBinOp::Sub => lanewise(a, b, |x, y| x - y),
+        ScalarBinOp::Mul => lanewise(a, b, |x, y| x * y),
+        ScalarBinOp::Div => lanewise(a, b, |x, y| x / y),
+        ScalarBinOp::Max => lanewise(a, b, f32::max),
+        ScalarBinOp::Min => lanewise(a, b, f32::min),
+    }
+}
+
+/// Sets each lane of `a` to `f` of it.
+#[inline(always)]
+fn map(a: &mut [f32], f: impl Fn(f32) -> f32) {
+    a.iter_mut().for_each(|x| *x = f(*x));
+}
+
+/// Applies `op` lane by lane to `a`, matching it once.
+fn un(op: UnaryOp, a: &mut [f32]) {
+    match op {
+        UnaryOp::Neg => map(a, |x| UnaryOp::Neg.apply(x)),
+        UnaryOp::Exp => map(a, |x| UnaryOp::Exp.apply(x)),
+        UnaryOp::Sqrt => map(a, |x| UnaryOp::Sqrt.apply(x)),
+        UnaryOp::Rsqrt => map(a, |x| UnaryOp::Rsqrt.apply(x)),
+        UnaryOp::Relu => map(a, |x| UnaryOp::Relu.apply(x)),
+        UnaryOp::Sigmoid => map(a, |x| UnaryOp::Sigmoid.apply(x)),
+        UnaryOp::Tanh => map(a, |x| UnaryOp::Tanh.apply(x)),
+        UnaryOp::Gelu => map(a, |x| UnaryOp::Gelu.apply(x)),
+        UnaryOp::Abs => map(a, |x| UnaryOp::Abs.apply(x)),
+    }
 }
 
 struct Runner<'k> {
@@ -166,7 +266,7 @@ impl Runner<'_> {
     fn run_nodes(&self, nodes: &[CNode], st: &mut ThreadState, par_ok: bool) {
         for n in nodes {
             match n {
-                CNode::Stmt(s) => self.run_stmt(s, st),
+                CNode::Stmt(s) => self.row(s, &[], 1, st),
                 CNode::Loop(l) => self.run_loop(l, st, par_ok),
                 CNode::Walk(w) => self.run_walk(w, st),
             }
@@ -184,31 +284,27 @@ impl Runner<'_> {
         }
     }
 
-    /// Contiguous range partitioning over scoped threads. Each worker
-    /// clones the register file (inheriting every outer-loop-invariant
-    /// value) and owns its range exclusively.
+    /// Contiguous range partitioning over scoped threads: the calling
+    /// thread runs the first range and one spawned worker each of the
+    /// rest. Each clones the register file (inheriting every
+    /// outer-loop-invariant value) and owns its range exclusively.
     fn run_parallel(&self, l: &CLoop, st: &ThreadState) {
-        let jobs = self.threads.min(l.extent as usize);
-        let chunk = (l.extent as usize).div_ceil(jobs);
-        std::thread::scope(|scope| {
-            for k in 0..jobs {
-                let lo = k * chunk;
-                let hi = ((k + 1) * chunk).min(l.extent as usize);
-                if lo >= hi {
-                    break;
-                }
-                let mut ts = ThreadState {
-                    regs: st.regs.clone(),
-                    stack: Vec::new(),
-                };
-                scope.spawn(move || {
-                    for i in lo..hi {
-                        ts.regs[l.var_reg as usize] = i as i64;
-                        range::run(&l.prologue, &mut ts.regs);
-                        self.run_nodes(&l.body, &mut ts, false);
-                    }
-                });
+        let extent = l.extent as usize;
+        let jobs = self.threads.min(extent);
+        let chunk = extent.div_ceil(jobs);
+        let run = &|lo: usize, mut ts: ThreadState| {
+            for i in lo..(lo + chunk).min(extent) {
+                ts.regs[l.var_reg as usize] = i as i64;
+                range::run(&l.prologue, &mut ts.regs);
+                self.run_nodes(&l.body, &mut ts, false);
             }
+        };
+        std::thread::scope(|scope| {
+            for lo in (chunk..extent).step_by(chunk) {
+                let ts = ThreadState::new(st.regs.clone());
+                scope.spawn(move || run(lo, ts));
+            }
+            run(0, ThreadState::new(st.regs.clone()));
         });
     }
 
@@ -222,16 +318,14 @@ impl Runner<'_> {
     #[inline(never)]
     fn run_walk(&self, w: &Walk, st: &mut ThreadState) {
         range::run(&w.prologue, &mut st.regs);
-        // The predicate depends on no covered variable: a false one skips
-        // an accumulating walk, and `run_stmt` zeros every point of an
-        // `Assign` one.
-        let s = &w.stmt;
-        if s.mode != StoreMode::Assign && s.pred.is_some_and(|p| st.regs[p as usize] == 0) {
-            return;
-        }
         let Some(slices) = w.mac else {
             return self.points(w, &w.levels, st);
         };
+        // The predicate depends on no covered variable: a false one skips
+        // the whole accumulation.
+        if w.stmts[0].pred.is_some_and(|p| st.regs[p as usize] == 0) {
+            return;
+        }
         let off = [0, 1, 2].map(|k| st.regs[w.access[k].off as usize]);
         let ptr = [0, 1, 2].map(|k| self.bufs.walk(&w.access[k], off[k]));
         // SAFETY: `walk` checked each access's box, which holds every
@@ -248,82 +342,84 @@ impl Runner<'_> {
         }
     }
 
-    /// Runs the statement of `w` at every point of `levels`, stepping its
-    /// offset slots in place in the loop tree's order; each level leaves
-    /// the slots as it found them.
+    /// Runs the statements of `w` at every point of `levels`, stepping
+    /// their offset slots in place in the loop tree's order; each level
+    /// leaves the slots as it found them. With `w.rows` the innermost level
+    /// runs as one row, each statement over all its lanes in body order;
+    /// otherwise each point runs each statement as a row of one lane.
     fn points(&self, w: &Walk, levels: &[WalkLevel], st: &mut ThreadState) {
-        let [l, inner @ ..] = levels else { return };
-        for _ in 0..l.extent {
-            if inner.is_empty() {
-                self.run_stmt(&w.stmt, st);
-            } else {
-                self.points(w, inner, st);
+        match levels {
+            [] => w.stmts.iter().for_each(|s| self.row(s, &[], 1, st)),
+            [l] if w.rows => {
+                let n = l.extent as usize;
+                w.stmts.iter().for_each(|s| self.row(s, &l.steps, n, st));
             }
-            for &(reg, s) in &l.steps {
-                st.regs[reg as usize] += s;
-            }
-        }
-        for &(reg, s) in &l.steps {
-            st.regs[reg as usize] -= l.extent * s;
-        }
-    }
-
-    fn run_stmt(&self, s: &CStmt, st: &mut ThreadState) {
-        let off = st.regs[s.off as usize];
-        if let Some(p) = s.pred {
-            if st.regs[p as usize] == 0 {
-                // Interpreter pad/overhang semantics: invalid slots are
-                // zeroed by `Assign` and skipped by accumulations.
-                if s.mode == StoreMode::Assign {
-                    self.bufs.write(s.buf, off, 0.0);
-                }
-                return;
-            }
-        }
-        let v = self.eval_fops(s, st);
-        match s.mode {
-            StoreMode::Assign => self.bufs.write(s.buf, off, v),
-            StoreMode::AddAcc => {
-                let old = self.bufs.read(s.buf, off);
-                self.bufs.write(s.buf, off, old + v);
-            }
-            StoreMode::MaxAcc => {
-                let old = self.bufs.read(s.buf, off);
-                self.bufs.write(s.buf, off, old.max(v));
-            }
-        }
-    }
-
-    fn eval_fops(&self, s: &CStmt, st: &mut ThreadState) -> f32 {
-        st.stack.clear();
-        let mut pc = 0usize;
-        while pc < s.fops.len() {
-            match s.fops[pc] {
-                FOp::Imm(v) => st.stack.push(v),
-                FOp::Load { buf, off } => st.stack.push(self.bufs.read(buf, st.regs[off as usize])),
-                FOp::Bin(op) => {
-                    let b = pop(&mut st.stack);
-                    let a = pop(&mut st.stack);
-                    st.stack.push(apply_fbin(op, a, b));
-                }
-                FOp::Un(op) => {
-                    let a = pop(&mut st.stack);
-                    st.stack.push(op.apply(a));
-                }
-                FOp::JumpIfZero { cond, to } => {
-                    if st.regs[cond as usize] == 0 {
-                        pc = to as usize;
-                        continue;
+            [l, inner @ ..] => {
+                for _ in 0..l.extent {
+                    self.points(w, inner, st);
+                    for &(reg, s) in &l.steps {
+                        st.regs[reg as usize] += s;
                     }
                 }
-                FOp::Jump { to } => {
-                    pc = to as usize;
-                    continue;
+                for &(reg, s) in &l.steps {
+                    st.regs[reg as usize] -= l.extent * s;
                 }
             }
-            pc += 1;
         }
-        pop(&mut st.stack)
+    }
+
+    /// Runs statement `s` over a row of `n` lanes whose offset slots step
+    /// by `steps` from lane to lane (a slot not listed stays still): its
+    /// stack program runs once on lane vectors, each lane doing the
+    /// program's exact operations, and the store then writes lane by lane
+    /// in lane order. A point is a row of one lane. The predicate and the
+    /// `Select` conditions are the same for every lane, so an untaken arm
+    /// loads nothing.
+    fn row(&self, s: &CStmt, steps: &[(u32, i64)], n: usize, st: &mut ThreadState) {
+        let step = |reg: u32| {
+            steps
+                .iter()
+                .find(|&&(r, _)| r == reg)
+                .map_or(0, |&(_, d)| d)
+        };
+        let ThreadState { regs, lanes } = st;
+        let (off, off_step) = (regs[s.off as usize], step(s.off));
+        if s.pred.is_some_and(|p| regs[p as usize] == 0) {
+            // Interpreter pad/overhang semantics: invalid slots are
+            // zeroed by `Assign` and skipped by accumulations.
+            if s.mode == StoreMode::Assign {
+                let zeros = push(lanes, &mut 0, n);
+                zeros.fill(0.0);
+                self.bufs.scatter(s.buf, off, off_step, s.mode, zeros);
+            }
+            return;
+        }
+        // `top` ends the stack, whose entries are `n` lanes each.
+        let (mut top, mut pc) = (0, 0);
+        while let Some(&op) = s.fops.get(pc) {
+            pc += 1;
+            match op {
+                FOp::Imm(v) => push(lanes, &mut top, n).fill(v),
+                FOp::Load { buf, off } => {
+                    let dst = push(lanes, &mut top, n);
+                    self.bufs.gather(buf, regs[off as usize], step(off), dst);
+                }
+                FOp::Bin(op) => {
+                    top -= n;
+                    let (a, b) = lanes[top - n..top + n].split_at_mut(n);
+                    bin(op, a, b);
+                }
+                FOp::Un(op) => un(op, &mut lanes[top - n..top]),
+                FOp::JumpIfZero { cond, to } => {
+                    if regs[cond as usize] == 0 {
+                        pc = to as usize;
+                    }
+                }
+                FOp::Jump { to } => pc = to as usize,
+            }
+        }
+        debug_assert_eq!(top, n, "a stack program leaves one value");
+        self.bufs.scatter(s.buf, off, off_step, s.mode, &lanes[..n]);
     }
 }
 
@@ -556,10 +652,7 @@ impl NativeKernel {
             bufs: Bufs { slots },
             threads: threads.max(1),
         };
-        let mut st = ThreadState {
-            regs: self.slots.clone(),
-            stack: Vec::new(),
-        };
+        let mut st = ThreadState::new(self.slots.clone());
         let t_all = Instant::now();
         let mut group_us = Vec::with_capacity(runner.kernel.groups.len());
         for g in &runner.kernel.groups {

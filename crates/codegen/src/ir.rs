@@ -16,11 +16,12 @@
 //!   machine in the interpreter's recursive-descent order. `Select`
 //!   becomes a conditional jump so only the taken arm touches memory.
 //!
-//! A single-statement nest whose offsets are affine in its loops is one
+//! A nest of statements whose offsets are affine in its loops is one
 //! [`Walk`] node in place of those loops: its levels' extents and offset
-//! steps, the covered loops' prologues, the statement, and for a
-//! multiply-accumulate each buffer's displacement box for the bounds
-//! check and, where its levels allow, a register [`Tile`].
+//! steps, the covered loops' prologues, the statements, whether its
+//! innermost level runs as rows, and for a multiply-accumulate each
+//! buffer's displacement box for the bounds check and, where its levels
+//! allow, a register [`Tile`].
 
 use alt_loopir::StoreMode;
 use alt_tensor::op::{ScalarBinOp, UnaryOp};
@@ -61,20 +62,36 @@ pub struct CStmt {
     pub fops: Vec<FOp>,
 }
 
-/// A single statement run as one strided walk instead of the loops
-/// around it.
+/// The statements of a loop nest run as one strided walk instead of the
+/// loops around them.
 ///
-/// A walk starts at any loop that is not `@par` and holds the statement
-/// alone, and covers every enclosing loop that is not `@par`, holds the
-/// nest as its only body node, enters every offset of the statement
-/// affinely and enters none of its conditions. The executor runs the
-/// covered loops' prologues once per entry, with their variables at 0,
-/// for the base offsets, then steps the offsets by the levels' strides,
-/// so every point runs the statement as the loops would have. The points
-/// run in the loop tree's order, except in a multiply-accumulate walk
-/// with a [`Tile`]: its reduction levels move innermost, keeping their
-/// relative order, which the tiling rule shows leaves every slot's
-/// sequence of operations as the loop tree's order has it.
+/// A walk starts at any loop that is not `@par` and holds one or more
+/// statements and nothing else, and covers every enclosing loop that is
+/// not `@par`, holds the nest as its only body node, enters every offset
+/// of the statements affinely and enters none of their conditions. The
+/// executor runs the covered loops' prologues once per entry, with their
+/// variables at 0, for the base offsets, then steps the offsets by the
+/// levels' strides, so every point runs the statements, in body order, as
+/// the loops would have. The points run in the loop tree's order, with
+/// two exceptions that keep every slot's sequence of operations. A
+/// multiply-accumulate walk with a [`Tile`] moves its reduction levels
+/// innermost, keeping their relative order, as the tiling rule allows. A
+/// walk with `rows` runs its innermost level as one row per entry: each
+/// statement in turn runs its stack program once over the row's lanes,
+/// loading every lane before it stores any, as the row rule allows.
+///
+/// **The row rule.** A buffer that a statement stores is loaded, by that
+/// statement or a later one, only through that store's own offset slot,
+/// and the row steps that slot by a nonzero amount; and no statement
+/// loads or stores a buffer that a later statement stores. So each
+/// stored buffer has one writer in the walk, and lane `i` of any load of
+/// it reads the one slot that lane `i` of its store writes: an own load
+/// reads it before the store as the point would, a later statement's load
+/// after it as the point would, and no other lane touches the slot. Every
+/// load therefore reads the value the loop tree's order gives it, and
+/// each lane does the stack program's exact operations on the same
+/// operands. A store the row steps by 0 takes its lanes' values in lane
+/// order, so an accumulation adds them in the loop tree's sequence.
 ///
 /// The covered loops' variable slots keep the 0 of the initial slot file
 /// at every entry, which is where the prologues run.
@@ -84,23 +101,28 @@ pub struct Walk {
     pub prologue: Vec<SlotOp>,
     /// The covered loops, outermost first.
     pub levels: Vec<WalkLevel>,
-    /// The statement run at every point. Its predicate and `Select`
-    /// conditions depend on no covered variable: a false predicate zeros
-    /// every point of an `Assign` walk and skips an accumulating one.
-    pub stmt: CStmt,
-    /// The statement's offsets: the store, then each load in stack-program
-    /// order.
+    /// The statements run at every point, in body order. Their predicates
+    /// and `Select` conditions depend on no covered variable: a false
+    /// predicate zeros every point of an `Assign` statement and skips an
+    /// accumulating one.
+    pub stmts: Vec<CStmt>,
+    /// The statements' offsets: each statement's store, then its loads in
+    /// stack-program order.
     pub access: Vec<WalkAccess>,
-    /// `Some` when the statement is `out += a · b`: its points run over
-    /// three `f32` pointers, and the flag says whether the innermost level
-    /// runs as independent slice adds (the store steps by 1, the loads by 0
-    /// or 1, and the output buffer is neither input, so no lane reads what
-    /// another lane writes).
+    /// `Some` when the walk is the one statement `out += a · b`: its points
+    /// run over three `f32` pointers, and the flag says whether the
+    /// innermost level runs as independent slice adds (the store steps by
+    /// 1, the loads by 0 or 1, and the output buffer is neither input, so
+    /// no lane reads what another lane writes).
     pub mac: Option<bool>,
     /// The register tile a multiply-accumulate walk runs in, when its
     /// levels pass the tiling rule (see [`Tile`]); `None` keeps the loop
     /// tree's order. Boxed: most walks have none.
     pub tile: Option<Box<Tile>>,
+    /// Whether the innermost level runs as rows: the walk is not a
+    /// multiply-accumulate and passes the row rule. Otherwise every point
+    /// runs each statement as a row of one lane.
+    pub rows: bool,
 }
 
 /// The register-tiled order of a multiply-accumulate walk.
@@ -146,7 +168,8 @@ pub struct WalkLevel {
     /// Trip count.
     pub extent: i64,
     /// Outside a multiply-accumulate, the offset registers that move with
-    /// the level, each once, and their steps per iteration.
+    /// the level, each once, and their steps per iteration; a register not
+    /// listed stays still.
     pub steps: Vec<(u32, i64)>,
     /// A multiply-accumulate's steps of the store and the two loads per
     /// iteration, inline, where its executor reads them at every entry of
@@ -224,7 +247,7 @@ pub struct KernelStats {
     pub iops: usize,
     /// Total float ops across all statement bodies.
     pub fops: usize,
-    /// Statements that run as strided walks.
+    /// Strided walks.
     pub walks: usize,
     /// Walks of a multiply-accumulate `out += a · b`.
     pub typed_loops: usize,
@@ -232,6 +255,8 @@ pub struct KernelStats {
     pub tiled: usize,
     /// Loops the walks cover, summed over the walks.
     pub walk_levels: usize,
+    /// Walks whose innermost level runs as rows.
+    pub row_walks: usize,
     /// Loops marked parallel.
     pub par_loops: usize,
 }
@@ -245,11 +270,12 @@ impl NativeKernel {
                     CNode::Stmt(st) => s.fops += st.fops.len(),
                     CNode::Walk(w) => {
                         s.iops += w.prologue.len();
-                        s.fops += w.stmt.fops.len();
+                        s.fops += w.stmts.iter().map(|st| st.fops.len()).sum::<usize>();
                         s.walks += 1;
                         s.typed_loops += usize::from(w.mac.is_some());
                         s.tiled += usize::from(w.tile.is_some());
                         s.walk_levels += w.levels.len();
+                        s.row_walks += usize::from(w.rows);
                     }
                     CNode::Loop(l) => {
                         s.iops += l.prologue.len();

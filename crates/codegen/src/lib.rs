@@ -17,11 +17,14 @@
 //!    postorder stack program whose evaluation order equals the
 //!    interpreter's recursive descent; `Select` compiles to branches so
 //!    only the taken arm is evaluated (untaken arms may index out of
-//!    bounds by design).
+//!    bounds by design). The program runs on lane vectors, once per row
+//!    of a walk (property 5), and every lane does its exact operations;
+//!    a point is a row of one lane.
 //! 2. **Every slot sees its operations in the interpreter's order.** A
-//!    single-statement nest runs as a walk ([`ir::Walk`]) that steps the
-//!    statement's offsets instead of rerunning its loops' index ops. A walk
-//!    visits its points in the loop tree's order, except a
+//!    nest of statements runs as a walk ([`ir::Walk`]) that steps the
+//!    statements' offsets instead of rerunning its loops' index ops. A walk
+//!    visits its points in the loop tree's order, each running the
+//!    statements in body order, except a row walk (property 5) and a
 //!    multiply-accumulate walk that passes the tiling rule ([`ir::Tile`]),
 //!    which moves its reduction levels (store step 0) innermost in their
 //!    relative order. A slot's adds are the reduction points at its one
@@ -59,16 +62,17 @@
 //!    takes there. What folding changes is which offsets are affine in a
 //!    loop variable: a tiled layout's `(o·2 + i) / 16` becomes a stride,
 //!    so the walks of property 5 reach the tuned winners' nests.
-//! 5. **A walk does the stack program's work at every point.** A loop
-//!    that is not `@par` and holds one statement alone starts a walk when
-//!    every offset of the statement is affine in its variable and no
-//!    condition of the statement reads it; every enclosing loop that is
-//!    not `@par`, holds the walk alone and passes the same test joins it.
-//!    The walk runs the covered loops' prologues once per entry for the
-//!    base offsets and steps the offsets by the levels' strides. A
-//!    predicate false for a whole walk zeros every point of an `Assign`
-//!    walk and skips an accumulating one, as the interpreter's pad
-//!    semantics do. A multiply-accumulate `out += a · b` checks each
+//! 5. **A walk does the stack programs' work at every point.** A loop
+//!    that is not `@par` and holds one or more statements and nothing
+//!    else starts a walk when every offset of its statements is affine in
+//!    its variable and no condition of theirs reads it; every enclosing
+//!    loop that is not `@par`, holds the walk alone and passes the same
+//!    test joins it. The walk runs the covered loops' prologues once per
+//!    entry for the base offsets and steps the offsets by the levels'
+//!    strides. A predicate false for a whole walk zeros every point of an
+//!    `Assign` statement and skips an accumulating one, as the
+//!    interpreter's pad semantics do. A multiply-accumulate `out += a · b`
+//!    stays a walk of that one statement and checks each
 //!    buffer's displacement box once per entry and runs over three `f32`
 //!    pointers: each point loads `a`, loads `b`, multiplies and adds the
 //!    product to the old value, and Rust never contracts a multiply and an
@@ -80,11 +84,22 @@
 //!    loop tree's order, and its innermost level runs as slice adds when
 //!    its lanes write distinct slots that no lane reads (store stride 1,
 //!    load strides 0 or 1, the output buffer neither input), which rustc
-//!    vectorizes; otherwise it is a strided lane loop. Any other statement
-//!    steps its offset registers in place and runs its stack program at
-//!    each point, with reads and writes debug-checked as outside a walk: a
-//!    load in an untaken `Select` arm may lie out of range, so no box is
-//!    checked for it.
+//!    vectorizes; otherwise it is a strided lane loop. Any other walk steps
+//!    its offset registers in place, and where it passes the row rule runs
+//!    its innermost level as rows: each statement in turn runs its stack
+//!    program once over the row's lanes, loading every lane before it
+//!    stores any. The rule keeps every load's value: a buffer a statement
+//!    stores is loaded, by it or a later statement, only through that
+//!    store's own offset slot, which the row steps by a nonzero amount, so
+//!    lane `i` reads the slot only lane `i` stores, before the store as the
+//!    point would for an own load and after it for a later statement's;
+//!    and no statement loads or stores a buffer that a later one stores.
+//!    An unread store the row holds still takes its lanes in lane order,
+//!    so an accumulation keeps the interpreter's sequence. Otherwise each
+//!    point runs each statement as a row of one lane. Reads and writes are
+//!    debug-checked at each row's first and last lane: a load in an
+//!    untaken `Select` arm may lie out of range, so no box is checked for
+//!    it.
 
 pub mod compile;
 pub mod exec;

@@ -10,9 +10,9 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use alt_codegen::compile;
-use alt_codegen::ir::{CLoop, CNode, FOp, NativeKernel, Tile, Walk, WalkLevel};
+use alt_codegen::ir::{CLoop, CNode, CStmt, FOp, NativeKernel, Tile, Walk, WalkLevel};
 use alt_layout::{presets, Layout, LayoutPlan, LayoutPrim, PropagationMode};
-use alt_loopir::tir::TirNode;
+use alt_loopir::tir::{SExpr, TirNode};
 use alt_loopir::{
     lower, pack_buffers, run_program, AxisTiling, GraphSchedule, LoopKind, OpSchedule, Program,
     StoreMode,
@@ -20,6 +20,8 @@ use alt_loopir::{
 use alt_models::all_models;
 use alt_sim::{all_profiles, MachineProfile};
 use alt_tensor::exec::random_bindings;
+use alt_tensor::expr::Expr;
+use alt_tensor::op::UnaryOp;
 use alt_tensor::ops::{self, ConvCfg};
 use alt_tensor::{Graph, NdBuf, OpId, Shape, TensorId};
 
@@ -261,9 +263,10 @@ struct Placed<'k> {
     around: Vec<&'k CLoop>,
 }
 
-/// The kernel's walks, and the loops that are not `@par` and whose only
-/// body is one statement: the loops no walk covers although a walk could
-/// start there when the statement has strides in their variable.
+/// The kernel's walks, and the loops that are not `@par` and whose body
+/// is one or more statements and nothing else: the loops no walk covers
+/// although a walk could start there when the statements have strides in
+/// their variable.
 fn walks_and_stmt_loops(kernel: &NativeKernel) -> (Vec<Placed<'_>>, Vec<&CLoop>) {
     fn visit<'k>(
         nodes: &'k [CNode],
@@ -278,7 +281,8 @@ fn walks_and_stmt_loops(kernel: &NativeKernel) -> (Vec<Placed<'_>>, Vec<&CLoop>)
                     around: around.clone(),
                 }),
                 CNode::Loop(l) => {
-                    if !l.parallel && matches!(&l.body[..], [CNode::Stmt(_)]) {
+                    let stmts_only = l.body.iter().all(|n| matches!(n, CNode::Stmt(_)));
+                    if !l.parallel && !l.body.is_empty() && stmts_only {
                         stmt_loops.push(l);
                     }
                     around.push(l);
@@ -302,8 +306,8 @@ fn macs<'a, 'k>(walks: &'a [Placed<'k>]) -> Vec<&'a Placed<'k>> {
 }
 
 /// Asserts bit-identity with the interpreter on every profile, and that
-/// no loop that is not `@par` and holds one statement alone lies outside
-/// a walk: in the kernels these tests build every statement is affine in
+/// no loop that is not `@par` and holds statements alone lies outside a
+/// walk: in the kernels these tests build every statement is affine in
 /// its innermost loop and no condition reads that loop, so each such loop
 /// starts a walk. Returns the kernel compiled for the last profile (walks
 /// do not depend on the profile).
@@ -325,7 +329,7 @@ fn assert_typed_and_bit_identical(
         );
         assert!(
             stmt_loops.is_empty(),
-            "{what} on {}: {} single-statement loops lie outside every walk ({:?})",
+            "{what} on {}: {} statement loops lie outside every walk ({:?})",
             p.name,
             stmt_loops.len(),
             kernel.stats()
@@ -583,10 +587,13 @@ fn walks_cross_no_par_loop_and_no_loop_with_a_sibling() {
     assert!(walks[0].around.last().unwrap().parallel);
 }
 
-/// The walks of `kernel` whose statement satisfies `f`.
-fn walks_where<'k>(kernel: &'k NativeKernel, f: impl Fn(&Walk) -> bool) -> Vec<Placed<'k>> {
+/// The single-statement walks of `kernel` whose statement satisfies `f`.
+fn walks_where<'k>(kernel: &'k NativeKernel, f: impl Fn(&CStmt) -> bool) -> Vec<Placed<'k>> {
     let (walks, _) = walks_and_stmt_loops(kernel);
-    walks.into_iter().filter(|p| f(p.walk)).collect()
+    walks
+        .into_iter()
+        .filter(|p| matches!(&p.walk.stmts[..], [s] if f(s)))
+        .collect()
 }
 
 #[test]
@@ -624,39 +631,44 @@ fn t2d_select_walk_stops_at_the_loop_its_condition_reads() {
         assert_bit_identical(&program, &g, &plan, &bindings, &p, 4, "t2d");
     }
     let kernel = compile(&program, &alt_sim::intel_cpu());
-    let selects = walks_where(&kernel, |w| {
-        w.stmt.mode == StoreMode::AddAcc
-            && w.stmt
-                .fops
-                .iter()
-                .any(|f| matches!(f, FOp::JumpIfZero { .. }))
+    let selects = walks_where(&kernel, |s| {
+        s.mode == StoreMode::AddAcc && s.fops.iter().any(|f| matches!(f, FOp::JumpIfZero { .. }))
     });
     assert_eq!(selects.len(), 1, "{:?}", kernel.stats());
     assert_eq!(selects[0].walk.levels.len(), 1);
     assert!(selects[0].walk.mac.is_none());
+    // Its condition reads no lane, so `o.i` runs as one row.
+    assert!(selects[0].walk.rows);
     let parent = selects[0].around.last().unwrap();
     assert!(!parent.parallel && parent.body.len() == 1);
 }
 
-/// A tiled conv with a fused per-channel bias: `S0` (`@par`), then the
-/// init nest, the accumulation nest and the bias epilogue over `c.i h.i w`.
-fn conv_with_bias() -> (Graph, LayoutPlan, Program) {
+/// A tiled conv with a fused per-channel bias, and with `gelu` a fused
+/// `gelu` after it: `S0` (`@par`), then the init nest, the accumulation
+/// nest and the epilogue over `c.i h.i w.i`, whose body is `z = y + b`,
+/// then `gelu(z)` when asked.
+fn conv_with_bias(gelu: bool) -> (Graph, LayoutPlan, Program) {
     let mut g = Graph::new();
     let x = g.add_input("x", Shape::new([1, 4, 10, 10]));
     let w = g.add_param("w", Shape::new([8, 4, 3, 3]));
     let b = g.add_param("b", Shape::new([8]));
     let y = ops::conv2d(&mut g, x, w, ConvCfg::default());
-    let z = ops::bias_add(&mut g, y, b, 1);
+    let mut fused = vec![ops::bias_add(&mut g, y, b, 1)];
+    if gelu {
+        fused.push(ops::gelu(&mut g, fused[0]));
+    }
     let conv = g.tensor(y).producer.unwrap();
     let plan = LayoutPlan::new(PropagationMode::Full);
     let mut sched = par_vec_schedule(&g);
-    sched.set(
-        g.tensor(z).producer.unwrap(),
-        OpSchedule {
-            fuse_into_producer: true,
-            ..OpSchedule::default()
-        },
-    );
+    for z in fused {
+        sched.set(
+            g.tensor(z).producer.unwrap(),
+            OpSchedule {
+                fuse_into_producer: true,
+                ..OpSchedule::default()
+            },
+        );
+    }
     sched.set(
         conv,
         OpSchedule {
@@ -677,20 +689,95 @@ fn conv_with_bias() -> (Graph, LayoutPlan, Program) {
 
 #[test]
 fn init_nests_and_fused_epilogues_run_as_multi_level_walks() {
-    let (g, plan, program) = conv_with_bias();
+    let (g, plan, program) = conv_with_bias(false);
     assert_eq!(program.groups.len(), 1, "the bias is fused");
     let bindings = random_bindings(&g, 17);
     let kernel = assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "conv+bias");
-    let init = walks_where(&kernel, |w| matches!(w.stmt.fops[..], [FOp::Imm(_)]));
+    let init = walks_where(&kernel, |s| matches!(s.fops[..], [FOp::Imm(_)]));
     // The epilogue loads the conv's output and the bias, whose offset
     // steps by 0 where the output's steps by 1.
-    let epilogue = walks_where(&kernel, |w| {
-        w.stmt.mode == StoreMode::Assign && w.access.len() == 3
+    let epilogue = walks_where(&kernel, |s| {
+        s.mode == StoreMode::Assign && matches!(s.fops[..], [FOp::Load { .. }, FOp::Load { .. }, _])
     });
     for (what, walks) in [("init", init), ("epilogue", epilogue)] {
         assert_eq!(walks.len(), 1, "{what}: {:?}", kernel.stats());
         assert!(walks[0].walk.levels.len() >= 2, "{what}: one level");
+        assert!(walks[0].walk.rows, "{what}: point by point");
     }
+}
+
+/// The kernel's walks of two statements.
+fn pairs(kernel: &NativeKernel) -> Vec<Placed<'_>> {
+    let (walks, _) = walks_and_stmt_loops(kernel);
+    walks
+        .into_iter()
+        .filter(|p| p.walk.stmts.len() == 2)
+        .collect()
+}
+
+#[test]
+fn a_fused_two_statement_epilogue_runs_as_one_row_walk() {
+    // `z = y + b; a = gelu(z)` share the epilogue's loops, so they form one
+    // walk; `gelu` reads `z` through `z`'s store slot, which `w.i` steps by
+    // 1, so the walk runs `w.i` as rows.
+    let (g, plan, program) = conv_with_bias(true);
+    assert_eq!(program.groups.len(), 1, "the bias and gelu are fused");
+    let bindings = random_bindings(&g, 25);
+    let kernel = assert_typed_and_bit_identical(&program, &g, &plan, &bindings, "conv+bias+gelu");
+    let pairs = pairs(&kernel);
+    assert_eq!(pairs.len(), 1, "{:?}", kernel.stats());
+    let w = pairs[0].walk;
+    assert!(w.rows && w.levels.len() >= 2, "{:?}", w.levels);
+    let [bias, gelu] = &w.stmts[..] else {
+        unreachable!()
+    };
+    assert!(matches!(
+        gelu.fops[..],
+        [FOp::Load { buf, off }, FOp::Un(UnaryOp::Gelu)] if buf == bias.buf && off == bias.off
+    ));
+}
+
+#[test]
+fn a_later_statement_reading_an_earlier_store_one_slot_ahead_runs_point_by_point() {
+    // Edit the epilogue so that `gelu` reads `z` one slot ahead along the
+    // innermost loop `w.i`, which loses its last lane to keep the reads in
+    // range. Each point then reads a slot that the next point stores, so
+    // the loop tree's order reads it before that store: the row rule
+    // rejects the load through another slot, and the walk runs point by
+    // point.
+    fn read_ahead(nodes: &mut [TirNode]) -> bool {
+        nodes.iter_mut().any(|n| {
+            let TirNode::Loop {
+                var, extent, body, ..
+            } = n
+            else {
+                return false;
+            };
+            if let [TirNode::Stmt(_), TirNode::Stmt(gelu)] = &mut body[..] {
+                let SExpr::Unary(_, z) = &mut gelu.value else {
+                    unreachable!("the second statement is a gelu")
+                };
+                let SExpr::Load { indices, .. } = &mut **z else {
+                    unreachable!("gelu loads z")
+                };
+                let k = indices.iter().position(|e| e.uses_var(var.id())).unwrap();
+                indices[k] = indices[k].add(&Expr::c(1));
+                *extent -= 1;
+                return true;
+            }
+            read_ahead(body)
+        })
+    }
+    let (g, plan, mut program) = conv_with_bias(true);
+    assert!(read_ahead(&mut program.groups[0].nodes));
+    let bindings = random_bindings(&g, 26);
+    for p in all_profiles() {
+        assert_bit_identical(&program, &g, &plan, &bindings, &p, 4, "gelu one slot ahead");
+    }
+    let kernel = compile(&program, &alt_sim::intel_cpu());
+    let pairs = pairs(&kernel);
+    assert_eq!(pairs.len(), 1, "{:?}", kernel.stats());
+    assert!(!pairs[0].walk.rows);
 }
 
 #[test]
@@ -717,9 +804,10 @@ fn padded_assign_walks_zero_the_entries_their_predicate_rejects() {
         assert_bit_identical(&program, &g, &plan, &bindings, &p, 4, "padded relu");
     }
     let kernel = compile(&program, &alt_sim::intel_cpu());
-    let walks = walks_where(&kernel, |w| w.stmt.pred.is_some());
+    let walks = walks_where(&kernel, |s| s.pred.is_some());
     assert_eq!(walks.len(), 1, "{:?}", kernel.stats());
     assert_eq!(walks[0].walk.levels.len(), 2);
+    assert!(walks[0].walk.rows);
     // Unpacking never reads pad slots, so check them in the physical
     // buffer, filled beforehand with a value the program never writes.
     let mut bufs = pack_buffers(&program, &g, &plan, &bindings);
@@ -758,9 +846,10 @@ fn max_pool_nests_run_as_walks() {
             assert_bit_identical(&program, &g, &plan, &bindings, &p, 4, "max pool");
         }
         let kernel = compile(&program, &alt_sim::intel_cpu());
-        let pools = walks_where(&kernel, |w| w.stmt.mode == StoreMode::MaxAcc);
+        let pools = walks_where(&kernel, |s| s.mode == StoreMode::MaxAcc);
         assert_eq!(pools.len(), 1, "{:?}", kernel.stats());
         assert!(pools[0].walk.levels.len() >= 2);
+        assert!(pools[0].walk.rows);
     }
 }
 

@@ -246,7 +246,7 @@ SUBCOMMANDS:
 /// native kernel executor (`--native`), the reference interpreter, or
 /// both with a bit-exact differential check (`--check`). With `--native`
 /// also prints the kernel's [`KernelStats`](alt_codegen::KernelStats)
-/// (groups, integer and float ops, walks, typed and register-tiled walks) and the
+/// (groups, integer and float ops, walks, typed, register-tiled and row walks) and the
 /// per-op calibration table (native wall clock vs the analytic model's
 /// prediction).
 #[allow(clippy::too_many_lines)]
@@ -311,9 +311,10 @@ fn run_run(rest: &[String]) -> i32 {
                          Compiles the model (tuning when --budget > 0, unoptimized\n\
                          otherwise) and executes it on random bindings. --native runs\n\
                          the compiled register-based kernel (stride-resolved loops,\n\
-                         single-statement nests run as strided walks, scoped-thread\n\
-                         @par), prints the kernel's shape (with the walks and the loop\n\
-                         levels they cover) and per-op\n\
+                         statement nests run as strided walks whose innermost loop\n\
+                         runs a row at a time where the row rule allows, scoped-thread\n\
+                         @par), prints the kernel's shape (with the walks, the loop\n\
+                         levels they cover and those run in rows) and per-op\n\
                          calibration against the analytic cost model; the default runs\n\
                          the reference interpreter. --check runs both and fails unless\n\
                          outputs are bit-identical; --check-cap truncates the program\n\
@@ -447,6 +448,7 @@ fn run_run(rest: &[String]) -> i32 {
                     "typed_loops": k.typed_loops,
                     "tiled": k.tiled,
                     "walk_levels": k.walk_levels,
+                    "row_walks": k.row_walks,
                     "par_loops": k.par_loops,
                 }),
             );
@@ -481,14 +483,15 @@ fn run_run(rest: &[String]) -> i32 {
         if let Some((_, stats, table, k)) = &native_res {
             println!(
                 "kernel: {} groups, {} integer ops, {} float ops, {} walks \
-                 ({} typed multiply-accumulate, {} register-tiled) over {} walk_levels, \
-                 {} parallel loops",
+                 ({} typed multiply-accumulate, {} register-tiled, {} in rows) \
+                 over {} walk_levels, {} parallel loops",
                 k.groups,
                 k.iops,
                 k.fops,
                 k.walks,
                 k.typed_loops,
                 k.tiled,
+                k.row_walks,
                 k.walk_levels,
                 k.par_loops
             );

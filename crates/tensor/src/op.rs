@@ -75,7 +75,9 @@ pub enum UnaryOp {
 }
 
 impl UnaryOp {
-    /// Applies the operator to a value.
+    /// Applies the operator to a value. Inline, so that a caller that
+    /// names the operator gets its arm alone.
+    #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             UnaryOp::Neg => -x,
